@@ -6,8 +6,28 @@ import (
 
 	"symfail/internal/analysis/stream"
 	"symfail/internal/core"
+	"symfail/internal/phone"
 	"symfail/internal/sim"
+	"symfail/internal/symbos"
 )
+
+// ipcPhone is a device a day into its study, with a client process
+// holding sessions to the F32 file server and the Database Log Server —
+// the logger's view of the phone, for the file-IPC budgets.
+func ipcPhone(t *testing.T) (*phone.Device, *symbos.FileSession, *symbos.Session) {
+	t.Helper()
+	eng := sim.NewEngine()
+	d := phone.NewDevice("alloc-budget", eng, phone.DefaultConfig(1))
+	d.Enroll(sim.Epoch)
+	if err := eng.Run(sim.Epoch.Add(24 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if d.State() != phone.StateOn {
+		t.Fatalf("device is %s after a day, want on", d.State())
+	}
+	client := d.Kernel().StartProcess("AllocClient", false).Main()
+	return d, d.FileServer().Connect(client), d.DBLogServer().Connect(client)
+}
 
 // TestAllocBudgets is the repo-wide allocation ratchet: every hot path gets
 // a named steady-state budget, and a change that regresses one fails here
@@ -22,14 +42,14 @@ func TestAllocBudgets(t *testing.T) {
 		name   string
 		budget float64
 		// setup returns the op to measure, already warmed to steady state.
-		setup func() func()
+		setup func(t *testing.T) func()
 	}{
 		{
 			// The tentpole contract: scheduling and firing an event on the
 			// timing-wheel engine reuses pooled nodes and interned closures,
 			// so the simulation hot loop allocates nothing at all.
 			name: "sim/engine: schedule+fire one event", budget: 0,
-			setup: func() func() {
+			setup: func(*testing.T) func() {
 				eng := sim.NewEngine()
 				fn := func() {}
 				op := func() {
@@ -44,7 +64,7 @@ func TestAllocBudgets(t *testing.T) {
 		},
 		{
 			name: "core: AppendRecord into warm scratch", budget: 0,
-			setup: func() func() {
+			setup: func(*testing.T) func() {
 				rec := core.Record{
 					Kind: core.KindPanic, Time: 1234567890, Category: "KERN-EXEC",
 					PType: 3, Apps: []string{"phone", "camera"}, Activity: "voice-call",
@@ -55,10 +75,74 @@ func TestAllocBudgets(t *testing.T) {
 		},
 		{
 			name: "core: AppendFrame into warm scratch", budget: 0,
-			setup: func() func() {
+			setup: func(*testing.T) func() {
 				payload := core.AppendRecord(nil, core.Record{Kind: core.KindBoot, Time: 7, Boot: 2})
 				buf := make([]byte, 0, 256)
 				return func() { buf = core.AppendFrame(buf[:0], payload) }
+			},
+		},
+		{
+			// File IPC is zero-copy: the message borrows the caller's
+			// bytes and the flash rewrites the file's backing array.
+			name: "symbos/phone: WriteFile same-length rewrite", budget: 0,
+			setup: func(t *testing.T) func() {
+				_, files, _ := ipcPhone(t)
+				data := []byte("ok 0.87")
+				files.WriteFile(core.DefaultPowerPath, data)
+				return func() { files.WriteFile(core.DefaultPowerPath, data) }
+			},
+		},
+		{
+			name: "symbos/phone: AppendFile into spare capacity", budget: 0,
+			setup: func(t *testing.T) func() {
+				d, files, _ := ipcPhone(t)
+				// Grow the file's backing array, then rewrite it empty in
+				// place: the appends below all fit the spare capacity.
+				d.FS().Write("logs/append", make([]byte, 64<<10))
+				d.FS().Write("logs/append", nil)
+				frame := []byte("0123456789abcdef")
+				return func() { files.AppendFile("logs/append", frame) }
+			},
+		},
+		{
+			// The Log Engine AO's refresh: the Database Log Server's reply
+			// goes straight to the file server, no conversion in between.
+			name: "core: Log Engine refresh (DBLog Query + WriteFile)", budget: 0,
+			setup: func(t *testing.T) func() {
+				_, files, dbLog := ipcPhone(t)
+				if resp, _ := dbLog.Query(phone.OpRecentActivity, ""); len(resp) == 0 {
+					t.Fatal("no recorded activity after a day")
+				}
+				return func() {
+					resp, code := dbLog.Query(phone.OpRecentActivity, "")
+					if code == symbos.KErrNone {
+						files.WriteFile(core.DefaultActivityPath, resp)
+					}
+				}
+			},
+		},
+		{
+			// The Heartbeat AO's write: frame a beat in scratch, size-gate
+			// the beats file and append, compacting with an in-place
+			// rewrite past the cap (4 KiB, core's maxBeatsBytes). Warmed
+			// past one compaction, the file's array never grows again.
+			name: "core: heartbeat (SizeFile + AppendFile, compaction amortised)", budget: 0,
+			setup: func(t *testing.T) func() {
+				d, files, _ := ipcPhone(t)
+				var payload, buf []byte
+				op := func() {
+					payload = core.AppendBeat(payload[:0], core.Beat{Kind: core.BeatAlive, Time: int64(d.Now())})
+					buf = core.AppendFrame(buf[:0], payload)
+					if n, code := files.SizeFile(core.DefaultBeatsPath); code == symbos.KErrNone && n+len(buf) > 4<<10 {
+						files.WriteFile(core.DefaultBeatsPath, buf)
+						return
+					}
+					files.AppendFile(core.DefaultBeatsPath, buf)
+				}
+				for i := 0; i < 512; i++ {
+					op()
+				}
+				return op
 			},
 		},
 		{
@@ -66,7 +150,7 @@ func TestAllocBudgets(t *testing.T) {
 			// through encoding/json; the remaining allocs are the finalized
 			// HLEvent and its retained strings.
 			name: "analysis/stream: Observe boot record", budget: 6,
-			setup: func() func() {
+			setup: func(*testing.T) func() {
 				acc := stream.NewTables(stream.Config{})
 				acc.AddDevice("a")
 				now, boot := int64(sim.Epoch), 1
@@ -89,7 +173,7 @@ func TestAllocBudgets(t *testing.T) {
 		},
 		{
 			name: "analysis/stream: Observe panic record", budget: 6,
-			setup: func() func() {
+			setup: func(*testing.T) func() {
 				acc := stream.NewTables(stream.Config{})
 				acc.AddDevice("a")
 				acc.Observe("a", core.Record{Kind: core.KindBoot, Time: 0, Boot: 1, Detected: core.DetectedFirstBoot})
@@ -112,7 +196,7 @@ func TestAllocBudgets(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			op := tc.setup()
+			op := tc.setup(t)
 			if avg := testing.AllocsPerRun(500, op); avg > tc.budget {
 				t.Errorf("%s: %.1f allocs/op in steady state, budget %.0f", tc.name, avg, tc.budget)
 			}

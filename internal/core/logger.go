@@ -128,8 +128,9 @@ type daemon struct {
 
 	// Scratch encode buffers: every heartbeat and record append reuses
 	// them instead of allocating a payload and a frame per write. The
-	// daemon is single-threaded (one engine), and the file server copies
-	// what it stores, so reuse is safe.
+	// daemon is single-threaded (one engine), and the file server only
+	// borrows a write's bytes for the call — the flash store copies what
+	// it keeps — so reuse is safe.
 	payload []byte
 	buf     []byte
 }
@@ -307,20 +308,25 @@ func (dm *daemon) onPanic(p *symbos.Panic) {
 	dm.append(rec)
 }
 
-// sampleRunningApps refreshes the runapp file.
+// sampleRunningApps refreshes the runapp file with the comma-separated
+// application list, handing the server's reply straight to the file server
+// (an unanswered query writes an empty list).
 func (dm *daemon) sampleRunningApps() {
-	apps := dm.queryRunningApps()
-	dm.files.WriteFile(dm.l.cfg.RunAppPath, []byte(strings.Join(apps, ",")))
+	resp, code := dm.appArch.Query(phone.OpListApps, "")
+	if code != symbos.KErrNone {
+		resp = nil
+	}
+	dm.files.WriteFile(dm.l.cfg.RunAppPath, resp)
 }
 
 // queryRunningApps asks the Application Architecture Server for the
 // running application IDs.
 func (dm *daemon) queryRunningApps() []string {
 	resp, code := dm.appArch.Query(phone.OpListApps, "")
-	if code != symbos.KErrNone || resp == "" {
+	if code != symbos.KErrNone || len(resp) == 0 {
 		return nil
 	}
-	return strings.Split(resp, ",")
+	return strings.Split(string(resp), ",")
 }
 
 // collectActivity refreshes the activity file from the Database Log Server.
@@ -329,13 +335,13 @@ func (dm *daemon) collectActivity() {
 	if code != symbos.KErrNone {
 		return
 	}
-	dm.files.WriteFile(dm.l.cfg.ActivityPath, []byte(resp))
+	dm.files.WriteFile(dm.l.cfg.ActivityPath, resp)
 }
 
 // recordPower refreshes the power file from the System Agent.
 func (dm *daemon) recordPower() {
 	if batt, code := dm.sysAgent.Query(phone.OpBatteryStatus, ""); code == symbos.KErrNone {
-		dm.files.WriteFile(dm.l.cfg.PowerPath, []byte(batt))
+		dm.files.WriteFile(dm.l.cfg.PowerPath, batt)
 	}
 }
 
@@ -347,7 +353,7 @@ func (dm *daemon) currentActivity(at sim.Time) string {
 	if code != symbos.KErrNone {
 		return "unspecified"
 	}
-	for _, rec := range phone.DecodeActivity(resp) {
+	for _, rec := range phone.DecodeActivity(string(resp)) {
 		if rec.Start.After(at) {
 			continue
 		}

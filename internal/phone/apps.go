@@ -2,7 +2,6 @@ package phone
 
 import (
 	"sort"
-	"strings"
 
 	"symfail/internal/symbos"
 )
@@ -113,19 +112,19 @@ func (d *Device) AppRunning(name string) bool {
 // lexical order — this is what the Application Architecture Server reports
 // to the logger's Running Applications Detector.
 func (d *Device) RunningApps() []string {
-	out := make([]string, 0, len(d.apps))
-	for name, a := range d.apps {
-		if a.Alive() && a.visible {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return d.appendRunningApps(make([]string, 0, len(d.apps)))
 }
 
-// runningAppsList joins RunningApps for log records.
-func (d *Device) runningAppsList() string {
-	return strings.Join(d.RunningApps(), ",")
+// appendRunningApps appends the RunningApps names to dst, so the AppArch
+// handler can reuse one slice across requests.
+func (d *Device) appendRunningApps(dst []string) []string {
+	for name, a := range d.apps {
+		if a.Alive() && a.visible {
+			dst = append(dst, name)
+		}
+	}
+	sort.Strings(dst)
+	return dst
 }
 
 // randomRunningApp picks a running application uniformly (nil when none).
@@ -152,7 +151,7 @@ func (a *App) perform(act Activity) {
 			num.Copy("+3908112345")
 			num.Append("67")
 			sess := d.dbLog.Connect(t)
-			sess.SendReceive(OpPing, "call "+num.String())
+			sess.SendReceive(OpPing, "call "+num.String(), nil)
 			sess.Close()
 		case ActMessage:
 			ed := symbos.NewEdwin(k, 160)
@@ -176,7 +175,7 @@ func (a *App) perform(act Activity) {
 			a.proc.Heap().Free(shot)
 		case ActBluetooth:
 			sess := d.appArch.Connect(t)
-			sess.SendReceive(OpPing, "inquiry")
+			sess.SendReceive(OpPing, "inquiry", nil)
 			sess.Close()
 		case ActNav:
 			route := symbos.TwoPhaseConstructL(t, a.proc.Heap(), 32<<10, "route", func(*symbos.Cell) {})
@@ -215,6 +214,6 @@ func (a *App) msgsQueryInto(op int, payload string, into *symbos.Buf) int {
 		d.kernel.Raise(symbos.CatMsgsClient, symbos.TypeMsgsAsyncWrite,
 			"failed to write data into asynchronous call descriptor to be passed back to client")
 	}
-	into.Copy(resp)
+	into.Copy(string(resp))
 	return symbos.KErrNone
 }

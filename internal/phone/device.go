@@ -74,11 +74,11 @@ type Device struct {
 	fileSrv  *symbos.FileServer
 	props    *symbos.PropertyBus
 
-	// srvScratch is reused by the firmware server handlers to build
-	// response descriptors without per-request formatting garbage. Handlers
-	// run synchronously on the device's single simulated CPU, so one buffer
-	// per device suffices.
-	srvScratch []byte
+	// Each firmware server builds its reply descriptor in its own buffer,
+	// reused across requests and boots; a reply stays valid until the next
+	// request to the same server (the symbos.Message contract).
+	appArchReply, dbLogReply, sysAgentReply, msgReply []byte
+	appNames                                          []string
 
 	activityLog     []ActivityRecord
 	currentActivity Activity

@@ -1,6 +1,7 @@
 package phone
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -214,7 +215,7 @@ func TestAppArchServerListsApps(t *testing.T) {
 	d.LaunchApp(AppCamera)
 	client := d.Kernel().StartProcess("TestClient", false)
 	sess := d.AppArchServer().Connect(client.Main())
-	var resp string
+	var resp []byte
 	var code int
 	d.Kernel().Exec(client.Main(), "list", func() {
 		resp, code = sess.Query(OpListApps, "")
@@ -222,7 +223,7 @@ func TestAppArchServerListsApps(t *testing.T) {
 	if code != symbos.KErrNone {
 		t.Fatalf("code = %d", code)
 	}
-	if resp != "Camera,Clock" {
+	if string(resp) != "Camera,Clock" {
 		t.Errorf("resp = %q", resp)
 	}
 }
@@ -232,18 +233,18 @@ func TestSysAgentReportsBattery(t *testing.T) {
 	eng.Step()
 	client := d.Kernel().StartProcess("TestClient", false)
 	sess := d.SysAgentServer().Connect(client.Main())
-	var resp string
+	var resp []byte
 	d.Kernel().Exec(client.Main(), "batt", func() {
 		resp, _ = sess.Query(OpBatteryStatus, "")
 	})
-	if len(resp) < 2 || resp[:2] != "ok" {
+	if !bytes.HasPrefix(resp, []byte("ok")) {
 		t.Errorf("battery resp = %q", resp)
 	}
 	d.battery = 0.01
 	d.Kernel().Exec(client.Main(), "batt", func() {
 		resp, _ = sess.Query(OpBatteryStatus, "")
 	})
-	if len(resp) < 3 || resp[:3] != "low" {
+	if !bytes.HasPrefix(resp, []byte("low")) {
 		t.Errorf("low battery resp = %q", resp)
 	}
 }

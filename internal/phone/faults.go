@@ -377,7 +377,7 @@ func (f *faultModel) injectNullMessagePtr() {
 	shell := f.d.shellApp()
 	f.d.kernel.Exec(shell.proc.Main(), "fault-client", func() {
 		sess := a.svc.Connect(shell.proc.Main())
-		sess.SendReceive(OpCorruptComplete, "")
+		sess.SendReceive(OpCorruptComplete, "", nil)
 	})
 }
 

@@ -68,22 +68,25 @@ func (f *FS) EnableFaults(cfg FlashFaults, rng *sim.Rand) {
 	f.rng = rng
 }
 
-// Write replaces the contents of path. It reports false when the flash
-// quota would be exceeded (the write is rejected whole, like a full
-// medium).
+// Write replaces the contents of path, rewriting the file's existing
+// backing array in place, so a periodic rewrite of a same-sized file
+// allocates nothing. data is copied, never retained. It reports false when
+// the flash quota would be exceeded (the write is rejected whole, like a
+// full medium).
 func (f *FS) Write(path string, data []byte) bool {
 	if !f.CanWrite(path, data) {
 		f.quotaRejects++
 		return false
 	}
-	f.files[path] = append([]byte(nil), data...)
+	f.files[path] = append(f.files[path][:0], data...)
 	f.writes++
 	f.noteWrite(path, 0, len(data))
 	return true
 }
 
-// Append adds data to the end of path, creating it if needed. It reports
-// false when the flash quota would be exceeded.
+// Append adds data to the end of path, creating it if needed; data is
+// copied, never retained. It reports false when the flash quota would be
+// exceeded.
 func (f *FS) Append(path string, data []byte) bool {
 	if !f.CanAppend(path, data) {
 		f.quotaRejects++
@@ -150,7 +153,8 @@ func (f *FS) BitFlips() uint64 { return f.bitFlips }
 func (f *FS) QuotaRejects() uint64 { return f.quotaRejects }
 
 // Read returns the contents of path and whether it exists. The returned
-// slice is a copy; callers cannot corrupt the stored file.
+// slice is a copy the caller owns: it cannot corrupt the stored file, and
+// a later in-place Write cannot change it.
 func (f *FS) Read(path string) ([]byte, bool) {
 	data, ok := f.files[path]
 	if !ok {

@@ -35,6 +35,47 @@ func TestFSTornWriteOnCrash(t *testing.T) {
 	}
 }
 
+// TestFSTornInPlaceRewrite: a rewrite lands in the file's old backing
+// array, and a crash while it is in flight still tears it to a strict
+// prefix of the new contents — never a mix with the old ones.
+func TestFSTornInPlaceRewrite(t *testing.T) {
+	fs := NewFS()
+	fs.EnableFaults(FlashFaults{TornWriteProb: 1}, sim.NewRand(5))
+	fs.Write("beats", []byte("old-contents-that-are-longer"))
+	next := []byte("new-contents")
+	fs.Write("beats", next)
+	fs.Crash()
+	data, _ := fs.Read("beats")
+	if len(data) >= len(next) || !bytes.HasPrefix(next, data) {
+		t.Fatalf("torn rewrite = %q, want a strict prefix of %q", data, next)
+	}
+	if fs.TornWrites() != 1 {
+		t.Errorf("TornWrites = %d", fs.TornWrites())
+	}
+}
+
+// TestFSOwnership pins the flash's side of the zero-copy contract: Write
+// and Append copy the caller's bytes, and Read hands out a copy that a
+// later in-place rewrite cannot reach.
+func TestFSOwnership(t *testing.T) {
+	fs := NewFS()
+	buf := []byte("abc")
+	fs.Write("f", buf)
+	fs.Append("g", buf)
+	copy(buf, "xyz")
+	if data, _ := fs.Read("f"); string(data) != "abc" {
+		t.Errorf("Write retained the caller's buffer: %q", data)
+	}
+	if data, _ := fs.Read("g"); string(data) != "abc" {
+		t.Errorf("Append retained the caller's buffer: %q", data)
+	}
+	read, _ := fs.Read("f")
+	fs.Write("f", []byte("def"))
+	if string(read) != "abc" {
+		t.Errorf("in-place rewrite changed an earlier Read: %q", read)
+	}
+}
+
 func TestFSCrashWithoutFaultsIsNoop(t *testing.T) {
 	fs := NewFS()
 	fs.Write("log", []byte("hello"))

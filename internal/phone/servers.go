@@ -118,7 +118,15 @@ func (d *Device) startServers() {
 	d.appArch = symbos.NewServer(d.kernel, SrvAppArch, true, func(m *symbos.Message) {
 		switch m.Op {
 		case OpListApps:
-			m.Respond(strings.Join(d.RunningApps(), ","))
+			d.appNames = d.appendRunningApps(d.appNames[:0])
+			d.appArchReply = d.appArchReply[:0]
+			for i, name := range d.appNames {
+				if i > 0 {
+					d.appArchReply = append(d.appArchReply, ',')
+				}
+				d.appArchReply = append(d.appArchReply, name...)
+			}
+			m.Respond(d.appArchReply)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -134,8 +142,8 @@ func (d *Device) startServers() {
 		case OpRecentActivity:
 			// Encode straight from the log tail: the handler runs
 			// synchronously, so no defensive copy is needed.
-			d.srvScratch = appendActivity(d.srvScratch[:0], d.recentActivityView(10))
-			m.Respond(string(d.srvScratch))
+			d.dbLogReply = appendActivity(d.dbLogReply[:0], d.recentActivityView(10))
+			m.Respond(d.dbLogReply)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -153,10 +161,10 @@ func (d *Device) startServers() {
 			if d.battery <= d.cfg.LowBatteryThreshold {
 				status = "low"
 			}
-			d.srvScratch = append(d.srvScratch[:0], status...)
-			d.srvScratch = append(d.srvScratch, ' ')
-			d.srvScratch = strconv.AppendFloat(d.srvScratch, d.battery, 'f', 2, 64)
-			m.Respond(string(d.srvScratch))
+			d.sysAgentReply = append(d.sysAgentReply[:0], status...)
+			d.sysAgentReply = append(d.sysAgentReply, ' ')
+			d.sysAgentReply = strconv.AppendFloat(d.sysAgentReply, d.battery, 'f', 2, 64)
+			m.Respond(d.sysAgentReply)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -169,7 +177,10 @@ func (d *Device) startServers() {
 		case OpSendMessage:
 			// The delivery report descriptor: long enough that a client
 			// with an under-sized buffer hits the MSGS Client 3 path.
-			m.Respond("delivery-report:" + m.Payload + ":accepted-by-smsc")
+			d.msgReply = append(d.msgReply[:0], "delivery-report:"...)
+			d.msgReply = append(d.msgReply, m.Payload...)
+			d.msgReply = append(d.msgReply, ":accepted-by-smsc"...)
+			m.Respond(d.msgReply)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)

@@ -43,7 +43,7 @@ func BenchmarkSendReceive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Exec(proc.Main(), "call", func() {
-			sess.SendReceive(OpBenchPing, "payload")
+			sess.SendReceive(OpBenchPing, "payload", nil)
 		})
 	}
 }

@@ -1,9 +1,6 @@
 package symbos
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // The file server (F32). On Symbian every file operation is a
 // client/server request to the file server process; the paper's logger
@@ -24,19 +21,23 @@ const (
 // Store is the backing medium the file server manages (the phone package's
 // flash filesystem implements it). Write and Append report false when the
 // medium rejects the operation — a full flash — which the file server
-// surfaces as KErrDiskFull.
+// surfaces as KErrDiskFull. Write and Append borrow data only for the call
+// and copy what they keep; Read returns a copy the caller owns; Size is 0
+// for a missing path.
 type Store interface {
 	Write(path string, data []byte) bool
 	Append(path string, data []byte) bool
 	Read(path string) ([]byte, bool)
+	Size(path string) int
 	Delete(path string)
 	Exists(path string) bool
 }
 
 // FileServer is the F32 file server process.
 type FileServer struct {
-	srv   *Server
-	store Store
+	srv     *Server
+	store   Store
+	scratch []byte // FsOpSize replies; valid until the next request
 }
 
 // NewFileServer starts the file server as a critical system server over the
@@ -50,21 +51,22 @@ func NewFileServer(k *Kernel, store Store) *FileServer {
 // Server returns the underlying server (for process-level access).
 func (f *FileServer) Server() *Server { return f.srv }
 
-// handle serves one file request. The payload is "<path>\x00<data>" for
-// writes and "<path>" for the rest; responses carry file contents.
+// handle serves one file request. Payload is the path; writes and appends
+// carry the file bytes in Data, which the store copies, so the client's
+// buffer never crosses the call. Read replies are the store's own copy;
+// the size reply is formatted into the server's scratch.
 func (f *FileServer) handle(m *Message) {
 	switch m.Op {
 	case FsOpWrite, FsOpAppend:
-		path, data, ok := splitPathPayload(m.Payload)
-		if !ok || path == "" {
+		if m.Payload == "" {
 			m.Complete(KErrArgument)
 			return
 		}
 		var stored bool
 		if m.Op == FsOpWrite {
-			stored = f.store.Write(path, []byte(data))
+			stored = f.store.Write(m.Payload, m.Data)
 		} else {
-			stored = f.store.Append(path, []byte(data))
+			stored = f.store.Append(m.Payload, m.Data)
 		}
 		if !stored {
 			m.Complete(KErrDiskFull)
@@ -77,7 +79,7 @@ func (f *FileServer) handle(m *Message) {
 			m.Complete(KErrNotFound)
 			return
 		}
-		m.Respond(string(data))
+		m.Respond(data)
 		m.Complete(KErrNone)
 	case FsOpDelete:
 		f.store.Delete(m.Payload)
@@ -93,24 +95,12 @@ func (f *FileServer) handle(m *Message) {
 			m.Complete(KErrNotFound)
 			return
 		}
-		if sz, ok := f.store.(interface{ Size(path string) int }); ok {
-			m.Respond(strconv.Itoa(sz.Size(m.Payload)))
-		} else {
-			data, _ := f.store.Read(m.Payload)
-			m.Respond(strconv.Itoa(len(data)))
-		}
+		f.scratch = strconv.AppendInt(f.scratch[:0], int64(f.store.Size(m.Payload)), 10)
+		m.Respond(f.scratch)
 		m.Complete(KErrNone)
 	default:
 		m.Complete(KErrNotSupported)
 	}
-}
-
-func splitPathPayload(payload string) (path, data string, ok bool) {
-	i := strings.IndexByte(payload, 0)
-	if i < 0 {
-		return "", "", false
-	}
-	return payload[:i], payload[i+1:], true
 }
 
 // FileSession is a client connection to the file server (RFs).
@@ -124,23 +114,25 @@ func (f *FileServer) Connect(t *Thread) *FileSession {
 	return &FileSession{sess: f.srv.Connect(t)}
 }
 
-// WriteFile replaces path's contents.
+// WriteFile replaces path's contents. data is only borrowed: the caller
+// may reuse it as soon as the call returns.
 func (s *FileSession) WriteFile(path string, data []byte) int {
-	return s.sess.SendReceive(FsOpWrite, path+"\x00"+string(data))
+	return s.sess.SendReceive(FsOpWrite, path, data)
 }
 
-// AppendFile adds data to the end of path.
+// AppendFile adds data to the end of path, borrowing data like WriteFile.
 func (s *FileSession) AppendFile(path string, data []byte) int {
-	return s.sess.SendReceive(FsOpAppend, path+"\x00"+string(data))
+	return s.sess.SendReceive(FsOpAppend, path, data)
 }
 
-// ReadFile returns path's contents (KErrNotFound when absent).
+// ReadFile returns path's contents (KErrNotFound when absent). The slice is
+// the store's copy and belongs to the caller.
 func (s *FileSession) ReadFile(path string) ([]byte, int) {
-	resp, code := s.sess.Query(FsOpRead, path)
+	data, code := s.sess.Query(FsOpRead, path)
 	if code != KErrNone {
 		return nil, code
 	}
-	return []byte(resp), KErrNone
+	return data, KErrNone
 }
 
 // SizeFile returns path's length in bytes without transferring its
@@ -152,7 +144,7 @@ func (s *FileSession) SizeFile(path string) (int, int) {
 	if code != KErrNone {
 		return 0, code
 	}
-	n, err := strconv.Atoi(resp)
+	n, err := strconv.Atoi(string(resp))
 	if err != nil {
 		return 0, KErrArgument
 	}
@@ -161,12 +153,12 @@ func (s *FileSession) SizeFile(path string) (int, int) {
 
 // DeleteFile removes path.
 func (s *FileSession) DeleteFile(path string) int {
-	return s.sess.SendReceive(FsOpDelete, path)
+	return s.sess.SendReceive(FsOpDelete, path, nil)
 }
 
 // FileExists reports whether path is present.
 func (s *FileSession) FileExists(path string) bool {
-	return s.sess.SendReceive(FsOpExists, path) == KErrNone
+	return s.sess.SendReceive(FsOpExists, path, nil) == KErrNone
 }
 
 // Close releases the session.

@@ -6,11 +6,12 @@ import (
 	"symfail/internal/sim"
 )
 
-// mapStore is a minimal Store for tests.
+// mapStore is a minimal Store for tests. Like the phone's flash it
+// rewrites files in place and hands out copies.
 type mapStore map[string][]byte
 
 func (m mapStore) Write(path string, data []byte) bool {
-	m[path] = append([]byte(nil), data...)
+	m[path] = append(m[path][:0], data...)
 	return true
 }
 func (m mapStore) Append(path string, data []byte) bool {
@@ -19,8 +20,9 @@ func (m mapStore) Append(path string, data []byte) bool {
 }
 func (m mapStore) Read(path string) ([]byte, bool) {
 	d, ok := m[path]
-	return d, ok
+	return append([]byte(nil), d...), ok
 }
+func (m mapStore) Size(path string) int    { return len(m[path]) }
 func (m mapStore) Delete(path string)      { delete(m, path) }
 func (m mapStore) Exists(path string) bool { _, ok := m[path]; return ok }
 
@@ -73,8 +75,8 @@ func TestFileServerBinaryPayload(t *testing.T) {
 	client := k.Process("Client")
 	blob := []byte{0, 1, 2, 255, 0, 42}
 	k.Exec(client.Main(), "io", func() {
-		// Contents containing NUL bytes must survive: only the FIRST NUL
-		// separates path from data.
+		// Contents containing NUL bytes must survive: the path and the
+		// file bytes travel in separate message fields.
 		if code := sess.WriteFile("bin", blob); code != KErrNone {
 			t.Fatalf("write: %s", ErrName(code))
 		}
@@ -117,11 +119,54 @@ func TestFileServerDelete(t *testing.T) {
 }
 
 func TestFileServerEmptyPathRejected(t *testing.T) {
-	k, _, sess, _ := newFileServerFixture(t)
+	k, _, sess, store := newFileServerFixture(t)
 	client := k.Process("Client")
 	k.Exec(client.Main(), "io", func() {
 		if code := sess.WriteFile("", []byte("x")); code != KErrArgument {
 			t.Errorf("empty path write = %s", ErrName(code))
+		}
+		if code := sess.AppendFile("", []byte("x")); code != KErrArgument {
+			t.Errorf("empty path append = %s", ErrName(code))
+		}
+	})
+	if len(store) != 0 {
+		t.Errorf("rejected writes reached the store: %v", store)
+	}
+}
+
+// TestFileServerBorrowsWriteData pins the ownership contract of a write:
+// the request only borrows the caller's bytes, so a client that reuses its
+// buffer after the call (the logger does, for every frame) cannot reach
+// the stored file.
+func TestFileServerBorrowsWriteData(t *testing.T) {
+	k, _, sess, store := newFileServerFixture(t)
+	client := k.Process("Client")
+	buf := []byte("first")
+	k.Exec(client.Main(), "io", func() {
+		sess.WriteFile("w", buf)
+		copy(buf, "XXXXX")
+		sess.AppendFile("a", buf)
+		copy(buf, "YYYYY")
+	})
+	if string(store["w"]) != "first" || string(store["a"]) != "XXXXX" {
+		t.Errorf("caller's buffer reached the store: w=%q a=%q", store["w"], store["a"])
+	}
+}
+
+// TestFileServerReadSurvivesRewrite: the slice ReadFile returns belongs to
+// the caller, so a later in-place rewrite of the file cannot change it.
+func TestFileServerReadSurvivesRewrite(t *testing.T) {
+	k, _, sess, _ := newFileServerFixture(t)
+	client := k.Process("Client")
+	k.Exec(client.Main(), "io", func() {
+		sess.WriteFile("f", []byte("before"))
+		data, _ := sess.ReadFile("f")
+		sess.WriteFile("f", []byte("after!"))
+		if string(data) != "before" {
+			t.Errorf("ReadFile result changed under a rewrite: %q", data)
+		}
+		if n, code := sess.SizeFile("f"); code != KErrNone || n != len("after!") {
+			t.Errorf("SizeFile = %d, %s", n, ErrName(code))
 		}
 	})
 }
@@ -131,7 +176,7 @@ func TestFileServerUnknownOp(t *testing.T) {
 	client := k.Process("Client")
 	raw := fsrv.Server().Connect(client.Main())
 	k.Exec(client.Main(), "io", func() {
-		if code := raw.SendReceive(9999, ""); code != KErrNotSupported {
+		if code := raw.SendReceive(9999, "", nil); code != KErrNotSupported {
 			t.Errorf("unknown op = %s", ErrName(code))
 		}
 	})

@@ -40,11 +40,19 @@ func (s *Server) Served() uint64 { return s.served }
 
 // Message is one client/server request (RMessage). Complete answers it; a
 // null RMessagePtr raises USER 70, as does answering twice.
+//
+// Payload names the request's target (a file name, a phone number); Data
+// carries its bulk bytes (file contents) and is borrowed from the client
+// for the duration of the call, so a server copies whatever it keeps.
+// Response is the reply descriptor. The server owns its bytes, usually a
+// scratch buffer it reuses, so a reply is valid only until the next
+// request to the same server; a client that keeps one copies it.
 type Message struct {
 	Op       int
 	Payload  string
+	Data     []byte
 	Client   string
-	Response string // set by Respond before Complete
+	Response []byte // set by Respond before Complete
 
 	server    *Server
 	kernel    *Kernel
@@ -58,9 +66,9 @@ type Message struct {
 // next Complete raises USER 70.
 func (m *Message) NullifyPtr() { m.nullPtr = true }
 
-// Respond sets the reply payload written back into the client's descriptor
-// when the request completes.
-func (m *Message) Respond(s string) { m.Response = s }
+// Respond sets the reply written back into the client's descriptor when
+// the request completes. b stays owned by the server (see Message).
+func (m *Message) Respond(b []byte) { m.Response = b }
 
 // Complete answers the request with the given code.
 func (m *Message) Complete(code int) {
@@ -115,7 +123,7 @@ func (s *Server) Connect(client *Thread) *Session {
 
 // acquire readies a Message for one request — the session scratch when
 // free, a fresh allocation when a handler re-entered the same session.
-func (sess *Session) acquire(k *Kernel, op int, payload string) *Message {
+func (sess *Session) acquire(k *Kernel, op int, payload string, data []byte) *Message {
 	m := &sess.scratch
 	if sess.busy {
 		m = &Message{}
@@ -125,6 +133,7 @@ func (sess *Session) acquire(k *Kernel, op int, payload string) *Message {
 	*m = Message{
 		Op:        op,
 		Payload:   payload,
+		Data:      data,
 		Client:    sess.client.proc.name,
 		server:    sess.server,
 		kernel:    k,
@@ -135,6 +144,7 @@ func (sess *Session) acquire(k *Kernel, op int, payload string) *Message {
 
 func (sess *Session) release(m *Message) {
 	if m == &sess.scratch {
+		m.Data, m.Response = nil, nil // neither buffer belongs to the session
 		sess.busy = false
 	}
 }
@@ -155,38 +165,34 @@ func (sess *Session) Connected() bool {
 	return sess.open && sess.server.proc.alive
 }
 
-// SendReceive issues a synchronous request (RSessionBase::SendReceive).
-// The handler runs in the server's thread context; if the server panics
-// before replying, the client sees KErrDisconnected — this is how a panic
-// in one process propagates an error (not a panic) into another.
-func (sess *Session) SendReceive(op int, payload string) int {
-	k := sess.server.proc.kernel
-	if !sess.open {
-		k.Raise(CatKernExec, TypeBadHandle,
-			fmt.Sprintf("SendReceive on closed session to %q", sess.server.name))
-	}
-	if !sess.server.proc.alive {
-		return KErrDisconnected
-	}
-	m := sess.acquire(k, op, payload)
-	sess.dispatch(k, m)
-	code := m.replyCode
-	sess.release(m)
+// SendReceive issues a synchronous request (RSessionBase::SendReceive)
+// carrying payload and the borrowed bytes data (nil for none). The handler
+// runs in the server's thread context; if the server panics before
+// replying, the client sees KErrDisconnected — this is how a panic in one
+// process propagates an error (not a panic) into another.
+func (sess *Session) SendReceive(op int, payload string, data []byte) int {
+	_, code := sess.call("SendReceive", op, payload, data)
 	return code
 }
 
-// Query is SendReceive for requests that carry a reply payload: it returns
-// the server's Response alongside the completion code.
-func (sess *Session) Query(op int, payload string) (string, int) {
+// Query is SendReceive for requests that carry a reply: it returns the
+// server's Response alongside the completion code. The reply belongs to
+// the server and is valid only until the next request to it.
+func (sess *Session) Query(op int, payload string) ([]byte, int) {
+	return sess.call("Query", op, payload, nil)
+}
+
+// call is the one synchronous send path behind SendReceive and Query.
+func (sess *Session) call(verb string, op int, payload string, data []byte) ([]byte, int) {
 	k := sess.server.proc.kernel
 	if !sess.open {
 		k.Raise(CatKernExec, TypeBadHandle,
-			fmt.Sprintf("Query on closed session to %q", sess.server.name))
+			fmt.Sprintf("%s on closed session to %q", verb, sess.server.name))
 	}
 	if !sess.server.proc.alive {
-		return "", KErrDisconnected
+		return nil, KErrDisconnected
 	}
-	m := sess.acquire(k, op, payload)
+	m := sess.acquire(k, op, payload, data)
 	sess.dispatch(k, m)
 	resp, code := m.Response, m.replyCode
 	sess.release(m)

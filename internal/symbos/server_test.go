@@ -14,7 +14,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	sess := srv.Connect(proc.Main())
 	var code int
 	k.Exec(proc.Main(), "call", func() {
-		code = sess.SendReceive(1, "hello")
+		code = sess.SendReceive(1, "hello", nil)
 	})
 	if code != 5 {
 		t.Errorf("code = %d, want 5", code)
@@ -40,7 +40,7 @@ func TestServerPanicDisconnectsClient(t *testing.T) {
 	sess := srv.Connect(proc.Main())
 	var code int
 	k.Exec(proc.Main(), "call", func() {
-		code = sess.SendReceive(1, "x")
+		code = sess.SendReceive(1, "x", nil)
 	})
 	if code != KErrDisconnected {
 		t.Errorf("client code = %s, want KErrDisconnected", ErrName(code))
@@ -59,7 +59,7 @@ func TestSendReceiveToDeadServer(t *testing.T) {
 	sess := srv.Connect(proc.Main())
 	k.TerminateProcess(srv.Process())
 	var code int
-	k.Exec(proc.Main(), "call", func() { code = sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), "call", func() { code = sess.SendReceive(1, "", nil) })
 	if code != KErrDisconnected {
 		t.Errorf("code = %s", ErrName(code))
 	}
@@ -109,7 +109,7 @@ func TestNullMessagePtrPanics(t *testing.T) {
 		m.Complete(KErrNone)
 	})
 	sess := srv.Connect(proc.Main())
-	k.Exec(proc.Main(), "call", func() { sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), "call", func() { sess.SendReceive(1, "", nil) })
 	if len(panics) != 1 || panics[0] != "USER 70" {
 		t.Errorf("panics = %v, want [USER 70]", panics)
 	}
@@ -124,7 +124,7 @@ func TestDoubleCompletePanics(t *testing.T) {
 		m.Complete(KErrNone)
 	})
 	sess := srv.Connect(proc.Main())
-	k.Exec(proc.Main(), "call", func() { sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), "call", func() { sess.SendReceive(1, "", nil) })
 	if len(panics) != 1 || panics[0] != "USER 70" {
 		t.Errorf("panics = %v", panics)
 	}
@@ -150,7 +150,7 @@ func TestSendReceiveOnClosedSessionPanics(t *testing.T) {
 	srv := NewServer(k, "S2", false, func(m *Message) { m.Complete(KErrNone) })
 	sess := srv.Connect(proc.Main())
 	k.Exec(proc.Main(), "close", func() { sess.Close() })
-	p := k.Exec(proc.Main(), "use-after-close", func() { sess.SendReceive(1, "") })
+	p := k.Exec(proc.Main(), "use-after-close", func() { sess.SendReceive(1, "", nil) })
 	if p == nil || p.Key() != "KERN-EXEC 0" {
 		t.Fatalf("panic = %v, want KERN-EXEC 0", p)
 	}
@@ -173,7 +173,7 @@ func TestAdoptServer(t *testing.T) {
 	srv := AdoptServer(app, func(m *Message) { m.Complete(9) })
 	sess := srv.Connect(proc.Main())
 	var code int
-	k.Exec(proc.Main(), "call", func() { code = sess.SendReceive(0, "") })
+	k.Exec(proc.Main(), "call", func() { code = sess.SendReceive(0, "", nil) })
 	if code != 9 {
 		t.Errorf("code = %d", code)
 	}
