@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"symfail/internal/analysis/stream"
+	"symfail/internal/collect"
 	"symfail/internal/core"
 	"symfail/internal/phone"
 	"symfail/internal/sim"
@@ -143,6 +144,42 @@ func TestAllocBudgets(t *testing.T) {
 					op()
 				}
 				return op
+			},
+		},
+		{
+			// The collection tier's re-send case: every payload of the
+			// incoming stream is already in the device's merge index, so
+			// the merge is a frame walk and one set lookup per record, and
+			// the stored bytes are left alone.
+			name: "collect: PutMerged of an already-merged stream", budget: 0,
+			setup: func(*testing.T) func() {
+				var stream []byte
+				for i := 0; i < 64; i++ {
+					stream = core.AppendFrame(stream, core.AppendRecord(nil, core.Record{
+						Kind: core.KindPanic, Time: int64(i) * int64(time.Minute), Category: "KERN-EXEC",
+						PType: 3, Apps: []string{"phone"}, Activity: "idle",
+					}))
+				}
+				ds := collect.NewDataset()
+				ds.PutMerged("p", stream) // raw first write
+				ds.PutMerged("p", stream) // builds the merge index
+				return func() { ds.PutMerged("p", stream) }
+			},
+		},
+		{
+			// The canonical path: one string for the whole payload (every
+			// string field is a substring of it) plus the Apps slice.
+			name: "core: DecodeRecord canonical panic record", budget: 2,
+			setup: func(t *testing.T) func() {
+				payload := core.AppendRecord(nil, core.Record{
+					Kind: core.KindPanic, Time: 1234567890, Category: "KERN-EXEC",
+					PType: 3, Apps: []string{"phone", "camera"}, Activity: "voice-call",
+				})
+				return func() {
+					if _, ok := core.DecodeRecord(payload); !ok {
+						t.Fatal("canonical payload did not decode")
+					}
+				}
 			},
 		},
 		{

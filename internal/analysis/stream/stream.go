@@ -13,8 +13,8 @@
 //
 // Input contract: per device, records must be fed in non-decreasing Time
 // order with non-decreasing down-event (PrevTime) order — the natural order
-// of a logger's log, of an exported dataset, and of collect.MergeRecords
-// output. Devices may be interleaved arbitrarily.
+// of a logger's log, of an exported dataset, and of a collected log merged
+// by collect.Dataset.PutMerged. Devices may be interleaved arbitrarily.
 package stream
 
 import (

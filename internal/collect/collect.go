@@ -94,22 +94,28 @@ var ErrTooLarge = errors.New("collect: upload too large")
 // goroutines uploading concurrently; per-device entries are independent
 // keys, so concurrent uploads from different devices commute and
 // same-device merges serialise under mu through the canonical,
-// order-independent MergeRecords.
+// order-independent merge (merge.go).
 type Dataset struct {
 	mu    sync.Mutex
 	files map[string][]byte
+	// index holds the merge index of every device whose stored log is in
+	// merged form (see PutMerged); scratch is the merges' key buffer.
+	index   map[string]*mergeIndex
+	scratch []byte
 }
 
 // NewDataset returns an empty dataset.
 func NewDataset() *Dataset {
-	return &Dataset{files: make(map[string][]byte)}
+	return &Dataset{files: make(map[string][]byte), index: make(map[string]*mergeIndex)}
 }
 
-// Put stores (replaces) a device's log.
+// Put stores (replaces) a device's log. The bytes are kept raw, so the
+// device's merge index is dropped; the next PutMerged rebuilds it.
 func (ds *Dataset) Put(deviceID string, data []byte) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.files[deviceID] = append([]byte(nil), data...)
+	delete(ds.index, deviceID)
 }
 
 // Get returns a copy of a device's log.
@@ -284,7 +290,9 @@ type Server struct {
 	// every record the server has ever acknowledged — the ground truth
 	// for the no-acknowledged-data-loss invariant.
 	streams   map[string][]byte
-	ackedKeys map[string]map[string]bool
+	ackedKeys map[string]map[string]struct{}
+	// ackScratch is recordAckedLocked's reusable key buffer.
+	ackScratch []byte
 }
 
 // NewServer starts a collection server on addr ("127.0.0.1:0" picks a free
@@ -309,7 +317,7 @@ func NewServerWith(addr string, ds *Dataset, cfg ServerConfig) (*Server, error) 
 		ds:        ds,
 		cfg:       cfg,
 		streams:   make(map[string][]byte),
-		ackedKeys: make(map[string]map[string]bool),
+		ackedKeys: make(map[string]map[string]struct{}),
 	}
 	if cfg.Store != nil {
 		files, streams := recoverServerState(cfg.Store)
@@ -871,25 +879,21 @@ func (s *Server) crashAtLocked(p Crashpoint) bool {
 }
 
 // recordAckedLocked notes every record in data as acknowledged, firing the
-// OnRecord tap for records this incarnation had not acked before. Caller
-// holds s.mu.
+// OnRecord tap, in log order, for records this incarnation had not acked
+// before. ackedKeys holds the acked records' canonical lines, so it walks
+// data with the dataset merge's newRecords: a re-sent record — the common
+// case — costs one set lookup and is not decoded. Caller holds s.mu.
 func (s *Server) recordAckedLocked(id string, data []byte) {
 	keys := s.ackedKeys[id]
 	if keys == nil {
-		keys = make(map[string]bool)
+		keys = make(map[string]struct{})
 		s.ackedKeys[id] = keys
 	}
-	var scratch []byte
-	for _, rec := range core.ParseRecords(data) {
-		scratch = core.AppendRecordLine(scratch[:0], rec)
-		if keys[string(scratch)] { // alloc-free lookup; re-sent records are the common case
-			continue
-		}
-		keys[string(scratch)] = true
+	s.ackScratch = newRecords(data, keys, s.ackScratch, func(_ string, r core.Record) {
 		if s.cfg.OnRecord != nil {
-			s.cfg.OnRecord(id, rec)
+			s.cfg.OnRecord(id, r)
 		}
-	}
+	})
 }
 
 // AckedKeys returns the serialized form of every record the server has
@@ -952,26 +956,26 @@ func Upload(addr, deviceID string, data []byte) error {
 	}
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
-		return fmt.Errorf("collect: dial %s: %w", addr, err)
+		return transient(fmt.Errorf("collect: dial %s: %w", addr, err))
 	}
 	defer conn.Close()
 	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
 	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		return fmt.Errorf("collect: deadline: %w", err)
+		return transient(fmt.Errorf("collect: deadline: %w", err))
 	}
 	if _, err := fmt.Fprintf(conn, "UPLOAD %s %d %08x\n", deviceID, len(data), crc32.Checksum(data, castagnoli)); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
+		return transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	if _, err := conn.Write(data); err != nil {
-		return fmt.Errorf("collect: send body: %w", err)
+		return transient(fmt.Errorf("collect: send body: %w", err))
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
+		return transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	reply = strings.TrimSpace(reply)
 	if reply != "OK" {
-		return fmt.Errorf("collect: server rejected upload: %s", reply)
+		return rejected("upload", reply)
 	}
 	return nil
 }
@@ -997,17 +1001,17 @@ func Handoff(addr, deviceID, kind string, data []byte) error {
 	}
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "HANDOFF %s %s %d %08x\n", deviceID, kind, len(data), crc32.Checksum(data, castagnoli)); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
+		return transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	if _, err := conn.Write(data); err != nil {
-		return fmt.Errorf("collect: send body: %w", err)
+		return transient(fmt.Errorf("collect: send body: %w", err))
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
+		return transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	if reply = strings.TrimSpace(reply); reply != "OK" {
-		return fmt.Errorf("collect: server rejected handoff: %s", reply)
+		return rejected("handoff", reply)
 	}
 	return nil
 }
@@ -1015,8 +1019,16 @@ func Handoff(addr, deviceID, kind string, data []byte) error {
 // PutMerged stores a device's log, preserving records the previous copy
 // had but the new one lost — after a master reset the phone re-uploads a
 // freshly started log, and the server must not forget the pre-reset study
-// data. Merging goes through MergeRecords, the canonical order-independent
-// merge, so the stored bytes do not depend on upload scheduling.
+// data. The first write for a device is stored raw. Every later write goes
+// through the canonical order-independent merge (merge.go), so the stored
+// bytes do not depend on upload scheduling: the distinct records of both
+// logs, one canonical line each, in (time, line) order.
+//
+// The first merge builds the device's merge index from the stored bytes;
+// from then on a merge walks only the incoming bytes, skips every payload
+// the index already holds without decoding it, and rewrites the stored
+// bytes only when a record was added — so a re-sent or mostly-known stream
+// costs a frame walk and one set lookup per record.
 func (ds *Dataset) PutMerged(deviceID string, data []byte) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -1025,7 +1037,15 @@ func (ds *Dataset) PutMerged(deviceID string, data []byte) {
 		ds.files[deviceID] = append([]byte(nil), data...)
 		return
 	}
-	ds.files[deviceID] = EncodeRecords(MergeRecords(core.ParseRecords(old), core.ParseRecords(data)))
+	ix := ds.index[deviceID]
+	fresh := ix == nil
+	if fresh {
+		ix = &mergeIndex{lines: make(map[string]struct{})}
+		ds.index[deviceID] = ix
+		ds.scratch = ix.add(old, ds.scratch)
+	}
+	ds.scratch = ix.add(data, ds.scratch)
+	ds.files[deviceID] = ix.commit(old, fresh)
 }
 
 // snapshot copies the per-device logs (compaction input).
@@ -1040,11 +1060,13 @@ func (ds *Dataset) snapshot() map[string][]byte {
 }
 
 // resetTo replaces the dataset's content wholesale with recovered state (a
-// durable server restarting on its store owns the dataset outright).
+// durable server restarting on its store owns the dataset outright). Like
+// Put, it drops every merge index.
 func (ds *Dataset) resetTo(files map[string][]byte) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.files = make(map[string][]byte, len(files))
+	ds.index = make(map[string]*mergeIndex)
 	for _, id := range sortedKeys(files) {
 		ds.files[id] = append([]byte(nil), files[id]...)
 	}
@@ -1056,22 +1078,22 @@ func (ds *Dataset) resetTo(files map[string][]byte) {
 func Ping(addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		return fmt.Errorf("collect: dial %s: %w", addr, err)
+		return transient(fmt.Errorf("collect: dial %s: %w", addr, err))
 	}
 	defer conn.Close()
 	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
 	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return fmt.Errorf("collect: deadline: %w", err)
+		return transient(fmt.Errorf("collect: deadline: %w", err))
 	}
 	if _, err := fmt.Fprint(conn, "PING\n"); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
+		return transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
+		return transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	if strings.TrimSpace(reply) != "OK" {
-		return fmt.Errorf("collect: server rejected ping: %s", strings.TrimSpace(reply))
+		return rejected("ping", reply)
 	}
 	return nil
 }
@@ -1101,11 +1123,11 @@ func Query(addr, name string, args ...string) (string, error) {
 	}
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "%s\n", header); err != nil {
-		return "", fmt.Errorf("collect: send header: %w", err)
+		return "", transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return "", fmt.Errorf("collect: read reply: %w", err)
+		return "", transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	reply = strings.TrimSpace(reply)
 	switch {
@@ -1114,7 +1136,7 @@ func Query(addr, name string, args ...string) (string, error) {
 	case strings.HasPrefix(reply, "OK "):
 		return reply[len("OK "):], nil
 	default:
-		return "", fmt.Errorf("collect: server rejected query: %s", reply)
+		return "", rejected("query", reply)
 	}
 }
 
@@ -1131,14 +1153,14 @@ func Fin(addr, deviceID string) error {
 	}
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "FIN %s\n", deviceID); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
+		return transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
+		return transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	if strings.TrimSpace(reply) != "OK" {
-		return fmt.Errorf("collect: server rejected fin: %s", strings.TrimSpace(reply))
+		return rejected("fin", reply)
 	}
 	return nil
 }

@@ -14,11 +14,11 @@ import (
 
 // fleetTestLog builds a canonical record log (one panic per timestamp).
 func fleetTestLog(times ...int64) []byte {
-	var recs []core.Record
+	var out []byte
 	for _, tm := range times {
-		recs = append(recs, core.Record{Kind: core.KindPanic, Category: "KERN-EXEC", PType: 3, Time: tm})
+		out = core.AppendRecordLine(out, core.Record{Kind: core.KindPanic, Category: "KERN-EXEC", PType: 3, Time: tm})
 	}
-	return collect.EncodeRecords(recs)
+	return out
 }
 
 // uploadRetry rides out injected kills the way the study uploader does: a

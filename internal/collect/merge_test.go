@@ -2,6 +2,8 @@ package collect
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"symfail/internal/core"
@@ -142,4 +144,161 @@ func FuzzMergeRecords(f *testing.F) {
 			t.Fatalf("self-merge changed the bytes")
 		}
 	})
+}
+
+// oraclePool is the record population the merge oracle test draws from:
+// ordinary boot and panic records with colliding timestamps, plus records
+// whose canonical form is not plain ASCII (HTML escapes, non-ASCII text,
+// invalid UTF-8), which the merge index can only dedup after a decode.
+func oraclePool() []core.Record {
+	pool := genRecords(11, 60)
+	return append(pool,
+		core.Record{Kind: core.KindPanic, Time: 7_000_000_000, Category: "A<B", PType: 1, Activity: "x&y"},
+		core.Record{Kind: core.KindPanic, Time: 7_000_000_000, Category: "KERN-EXEC", Apps: []string{"caméra", "phone"}},
+		core.Record{Kind: core.KindBoot, Time: 8_000_000_000, Boot: 2, OSVersion: string([]byte{'8', 0xff})},
+		core.Record{Kind: core.KindBoot, Time: -3, Boot: 1, OffSeconds: 1e-9, Detected: core.DetectedFreeze},
+	)
+}
+
+// nonCanonicalLine spells r as valid JSON that is not AppendRecord's form:
+// whitespace, or the keys in encoding/json's map (alphabetical) order.
+func nonCanonicalLine(rng *sim.Rand, r core.Record) []byte {
+	canon := core.AppendRecord(nil, r)
+	if rng.Bool(0.5) {
+		return append([]byte(" "), canon...)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(canon, &m); err != nil {
+		panic(err)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// oracleBatch draws one upload body: a framed stream over a window of the
+// pool (a rewound stream starts at zero), or a legacy JSON-lines log with
+// some non-canonical lines and garbage; either may be torn or bit-rotted.
+func oracleBatch(rng *sim.Rand, pool []core.Record) []byte {
+	a := rng.Intn(len(pool))
+	b := a + 1 + rng.Intn(len(pool)-a)
+	if rng.Bool(0.2) {
+		a = 0 // rewound: the stream restarts from the beginning
+	}
+	var out []byte
+	if rng.Bool(0.6) {
+		for _, r := range pool[a:b] {
+			out = core.AppendFrame(out, core.AppendRecord(nil, r))
+		}
+	} else {
+		for _, r := range pool[a:b] {
+			switch {
+			case rng.Bool(0.2):
+				out = append(out, nonCanonicalLine(rng, r)...)
+			case rng.Bool(0.05):
+				out = append(out, "not json"...)
+			default:
+				out = core.AppendRecord(out, r)
+			}
+			out = append(out, '\n')
+		}
+	}
+	if len(out) > 0 && rng.Bool(0.15) {
+		out = out[:len(out)-1-rng.Intn(len(out)/2+1)] // torn tail
+	}
+	if len(out) > 0 && rng.Bool(0.15) {
+		out[rng.Intn(len(out))] ^= 1 << uint(rng.Intn(8)) // bit rot
+	}
+	return out
+}
+
+// TestPutMergedMatchesOracle drives the incremental merge index with random
+// sequences of writes — re-sends, rewound streams, framed and legacy first
+// writes, damage, non-canonical JSON, Put and resetTo in between — and
+// checks after every step that the stored bytes equal the reference
+// re-parse-and-re-encode merge.
+func TestPutMergedMatchesOracle(t *testing.T) {
+	pool := oraclePool()
+	rng := sim.NewRand(2007)
+	devices := []string{"phone-01", "phone-02"}
+	for trial := 0; trial < 60; trial++ {
+		ds := NewDataset()
+		want := map[string][]byte{}
+		var last []byte
+		for step := 0; step < 25; step++ {
+			id := devices[rng.Intn(len(devices))]
+			batch := oracleBatch(rng, pool)
+			switch {
+			case last != nil && rng.Bool(0.2): // re-send the previous body
+				batch = append([]byte(nil), last...)
+				fallthrough
+			case rng.Bool(0.85):
+				old, present := want[id]
+				want[id] = mergeOracle(old, present, batch)
+				ds.PutMerged(id, batch)
+			case rng.Bool(0.5):
+				want[id] = append([]byte(nil), batch...)
+				ds.Put(id, batch)
+			default:
+				ds.resetTo(ds.snapshot())
+			}
+			last = batch
+			for _, dev := range devices {
+				got, ok := ds.Get(dev)
+				exp, present := want[dev]
+				if ok != present || !bytes.Equal(got, exp) {
+					t.Fatalf("trial %d step %d, %s: stored bytes differ from the oracle\n got: %q\nwant: %q",
+						trial, step, dev, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// TestServerChunkResendFiresNoRecord: at the server level, a re-sent CHUNK
+// (a lost acknowledgement) fires no OnRecord and leaves the stored bytes
+// alone, and a chunk carrying one new record fires exactly one.
+func TestServerChunkResendFiresNoRecord(t *testing.T) {
+	recs := []core.Record{
+		{Kind: core.KindBoot, Time: 1, Boot: 1, Detected: core.DetectedFirstBoot},
+		{Kind: core.KindPanic, Time: 2, Category: "USER", PType: 11},
+		{Kind: core.KindPanic, Time: 3, Category: "KERN-EXEC", PType: 3},
+	}
+	frames := func(rs ...core.Record) []byte {
+		var out []byte
+		for _, r := range rs {
+			out = core.AppendFrame(out, core.AppendRecord(nil, r))
+		}
+		return out
+	}
+	ds := NewDataset()
+	var tapped []core.Record
+	srv, err := NewServerWith("127.0.0.1:0", ds, ServerConfig{
+		OnRecord: func(_ string, r core.Record) { tapped = append(tapped, r) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	first := frames(recs[:2]...)
+	for i := 0; i < 2; i++ { // the second send is the re-send
+		if _, err := (NetTransport{}).UploadChunk(srv.Addr(), "p", 0, first); err != nil {
+			t.Fatal(err)
+		}
+		if len(tapped) != 2 {
+			t.Fatalf("after send %d the tap fired %d times, want 2", i+1, len(tapped))
+		}
+	}
+	if _, err := (NetTransport{}).UploadChunk(srv.Addr(), "p", len(first), frames(recs[2])); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tapped, recs) {
+		t.Errorf("tap saw %v, want %v", tapped, recs)
+	}
+	got, _ := ds.Get("p")
+	if want := EncodeRecords(recs); !bytes.Equal(got, want) {
+		t.Errorf("stored %q, want %q", got, want)
+	}
 }

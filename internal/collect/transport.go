@@ -45,12 +45,12 @@ type NetTransport struct{}
 func dialCollect(addr string) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("collect: dial %s: %w", addr, err)
+		return nil, transient(fmt.Errorf("collect: dial %s: %w", addr, err))
 	}
 	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
 	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("collect: deadline: %w", err)
+		return nil, transient(fmt.Errorf("collect: deadline: %w", err))
 	}
 	return conn, nil
 }
@@ -74,10 +74,10 @@ func (NetTransport) uploadChunkRaw(addr, deviceID string, offset int, declared, 
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "CHUNK %s %d %d %08x\n",
 		deviceID, offset, len(declared), crc32.Checksum(declared, castagnoli)); err != nil {
-		return 0, fmt.Errorf("collect: send header: %w", err)
+		return 0, transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	if _, err := conn.Write(body); err != nil {
-		return 0, fmt.Errorf("collect: send chunk: %w", err)
+		return 0, transient(fmt.Errorf("collect: send chunk: %w", err))
 	}
 	if len(body) < len(declared) {
 		// A dropped connection never sees the server's reply.
@@ -85,11 +85,11 @@ func (NetTransport) uploadChunkRaw(addr, deviceID string, offset int, declared, 
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return 0, fmt.Errorf("collect: read reply: %w", err)
+		return 0, transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	fields := strings.Fields(strings.TrimSpace(reply))
 	if len(fields) != 2 || fields[0] != "OK" {
-		return 0, fmt.Errorf("collect: server rejected chunk: %s", strings.TrimSpace(reply))
+		return 0, rejected("chunk", reply)
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 0 {
@@ -109,15 +109,15 @@ func (NetTransport) Offset(addr, deviceID string) (int, uint32, error) {
 	}
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "OFFSET %s\n", deviceID); err != nil {
-		return 0, 0, fmt.Errorf("collect: send header: %w", err)
+		return 0, 0, transient(fmt.Errorf("collect: send header: %w", err))
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
-		return 0, 0, fmt.Errorf("collect: read reply: %w", err)
+		return 0, 0, transient(fmt.Errorf("collect: read reply: %w", err))
 	}
 	fields := strings.Fields(strings.TrimSpace(reply))
 	if len(fields) != 3 || fields[0] != "OK" {
-		return 0, 0, fmt.Errorf("collect: server rejected offset query: %s", strings.TrimSpace(reply))
+		return 0, 0, rejected("offset query", reply)
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 0 {
@@ -152,17 +152,45 @@ func checkChunkArgs(deviceID string, offset int, chunk []byte) error {
 // this layer or arrives via the raw path below.
 type RetryNetTransport struct{}
 
-// transientNetErr reports whether an error means "no complete reply" — the
-// connection failed somewhere between dial and the reply line — or the
-// router gave up waiting for a shard; both heal with time.
-func transientNetErr(err error) bool {
-	if err == nil {
-		return false
+// Retry classes. A client error that belongs to one wraps the class's
+// sentinel where the dial, I/O or reply error is made, so callers test the
+// class with errors.Is and the error text plays no part: a device ID or a
+// server reason that merely contains a word like "dial" or "quorum" is not
+// classed.
+var (
+	// ErrTransient marks a transport-level window that heals with time: the
+	// connection failed somewhere between dial and the reply line, or the
+	// fleet router could not reach the device's shard.
+	ErrTransient = errors.New("collect: transient transport failure")
+	// ErrBelowQuorum marks the fleet's retryable below-quorum rejection.
+	ErrBelowQuorum = errors.New("collect: below write quorum (retryable)")
+)
+
+// classedError tags an error with a retry class without changing its text.
+type classedError struct{ err, class error }
+
+func (e *classedError) Error() string   { return e.err.Error() }
+func (e *classedError) Unwrap() []error { return []error{e.err, e.class} }
+
+// transient classes err as ErrTransient.
+func transient(err error) error { return &classedError{err: err, class: ErrTransient} }
+
+// rejected is the error for a parsed non-OK reply to verb. Its class comes
+// from the reply's protocol reason, the word after "ERR": "quorum" is the
+// fleet's below-quorum refusal (the server's "ERR quorum not met" and the
+// router gate's "ERR quorum unavailable"), and "shard unavailable" is the
+// router's lost shard. Every other rejection is a real answer and has no
+// retry class.
+func rejected(verb, reply string) error {
+	reply = strings.TrimSpace(reply)
+	err := fmt.Errorf("collect: server rejected %s: %s", verb, reply)
+	switch {
+	case strings.HasPrefix(reply, "ERR quorum "):
+		return &classedError{err: err, class: ErrBelowQuorum}
+	case reply == "ERR shard unavailable":
+		return transient(err)
 	}
-	s := err.Error()
-	return strings.Contains(s, "dial") || strings.Contains(s, "deadline") ||
-		strings.Contains(s, "send header") || strings.Contains(s, "send chunk") ||
-		strings.Contains(s, "read reply") || strings.Contains(s, "shard unavailable")
+	return err
 }
 
 // IsBelowQuorum reports whether an error is the fleet's retryable
@@ -170,15 +198,13 @@ func transientNetErr(err error) bool {
 // not replicated) because fewer than W shards were reachable. It is an
 // honest "not yet durable enough" — the uploader's backoff, or this layer's
 // host-time retry, absorbs it until quorum returns.
-func IsBelowQuorum(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "quorum")
-}
+func IsBelowQuorum(err error) bool { return errors.Is(err, ErrBelowQuorum) }
 
 // IsTransient reports whether an error names a transport-level window — a
 // dead connection or an unreachable shard — rather than a protocol answer.
 // Callers with their own host-time retry loops (the end-of-study upload)
 // use it to keep waiting out a slow server restart instead of failing fast.
-func IsTransient(err error) bool { return transientNetErr(err) }
+func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // The budget is deliberately generous (3s of host time): on a loaded
 // single-CPU host a restarting shard's WAL replay competes with every
@@ -196,7 +222,7 @@ func retryNet(do func() error) {
 		// A below-quorum ERR is a parsed protocol reply, but unlike other
 		// rejections it names a transient fleet state (a shard restarting
 		// inside its kill window), so it retries like a dead connection.
-		if err := do(); !transientNetErr(err) && !IsBelowQuorum(err) {
+		if err := do(); !IsTransient(err) && !IsBelowQuorum(err) {
 			return
 		}
 	}

@@ -108,22 +108,13 @@ func sortedKeys(m map[string][]byte) []string {
 	return out
 }
 
-// mergeLogs mirrors Dataset.PutMerged on plain bytes: the first write for a
-// device keeps its raw form, later writes go through the canonical
-// order-independent merge.
-func mergeLogs(old, add []byte) []byte {
-	if old == nil {
-		return append([]byte(nil), add...)
-	}
-	return EncodeRecords(MergeRecords(core.ParseRecords(old), core.ParseRecords(add)))
-}
-
 // recoverServerState rebuilds the server's in-memory state from the store:
 // snapshot first, then the WAL replayed entry by entry. Replay mirrors the
-// online handlers exactly — after every chunk entry the device's stream is
-// merged into its log, just as handleChunk merges before acknowledging — so
-// a stream later rewound by a master reset cannot take already-acknowledged
-// records with it.
+// online handlers exactly and merges through the same Dataset: snapshot logs
+// are Put raw, every logged write is PutMerged — after every chunk entry
+// the device's stream is merged into its log, just as handleChunk merges
+// before acknowledging — so a stream later rewound by a master reset cannot
+// take already-acknowledged records with it.
 //
 // Recovery also normalises the medium, making itself idempotent: a WAL or
 // snapshot with a torn tail is rewritten to its clean prefix and synced,
@@ -131,7 +122,7 @@ func mergeLogs(old, add []byte) []byte {
 // commit point) is removed. Recovering the recovered store is byte-for-byte
 // the same state and leaves the store untouched.
 func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
-	files = make(map[string][]byte)
+	ds := NewDataset()
 	streams = make(map[string][]byte)
 
 	snapRec := core.RecoverLog(store.Read(snapName))
@@ -142,7 +133,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 		}
 		switch e.Kind {
 		case "log":
-			files[e.Dev] = append([]byte(nil), e.Data...)
+			ds.Put(e.Dev, e.Data)
 		case "stream":
 			streams[e.Dev] = append([]byte(nil), e.Data...)
 		}
@@ -162,13 +153,13 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			}
 			st = append(st[:e.Off:e.Off], e.Data...)
 			streams[e.Dev] = st
-			files[e.Dev] = mergeLogs(files[e.Dev], st)
+			ds.PutMerged(e.Dev, st)
 		case opUpload:
-			files[e.Dev] = mergeLogs(files[e.Dev], e.Data)
+			ds.PutMerged(e.Dev, e.Data)
 		case opFin:
 			delete(streams, e.Dev)
 		case opHandoff:
-			files[e.Dev] = mergeLogs(files[e.Dev], e.Data)
+			ds.PutMerged(e.Dev, e.Data)
 		case opHandoffStream:
 			// Mirrors handleHandoff: the entry was only logged when the live
 			// stream was empty at commit time, and replay reconstructs the
@@ -176,7 +167,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			if len(streams[e.Dev]) == 0 {
 				streams[e.Dev] = append([]byte(nil), e.Data...)
 			}
-			files[e.Dev] = mergeLogs(files[e.Dev], e.Data)
+			ds.PutMerged(e.Dev, e.Data)
 		}
 	}
 
@@ -189,7 +180,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 		store.Sync(snapName)
 	}
 	store.Remove(snapTmpName)
-	return files, streams
+	return ds.files, streams
 }
 
 // RecoverState rebuilds (and normalises) a server's durable state from its

@@ -21,39 +21,43 @@ func marshalRecordStdlib(t testing.TB, r Record) []byte {
 	return data
 }
 
+// appendCases cover the whole encoding surface: HTML-escaped strings,
+// U+2028/U+2029, invalid UTF-8, e-format floats, negative times and apps.
+// The decoder tests seed from them too.
+var appendCases = map[string]Record{
+	"minimal": {Kind: KindBoot, Time: 0},
+	"boot-full": {
+		Kind: KindBoot, Time: 123456789, Boot: 7, OSVersion: "7.0s",
+		PrevBeat: BeatAlive, PrevTime: 99, OffSeconds: 42.5,
+		Detected: DetectedFreeze, LogSalvaged: 3, LogLost: 1,
+	},
+	"panic": {
+		Kind: KindPanic, Time: 1, Category: "KERN-EXEC", PType: 3,
+		Apps: []string{"phone", "camera"}, Activity: "voice-call",
+	},
+	"negative-time":    {Kind: KindBoot, Time: -5, Boot: -2, PType: -7},
+	"empty-apps-slice": {Kind: KindPanic, Time: 1, Apps: []string{}},
+	"one-empty-app":    {Kind: KindPanic, Time: 1, Apps: []string{""}},
+	"escaping": {
+		Kind: `we"ird\kind`, Time: 2, OSVersion: "a<b>&c",
+		Activity: "tab\there\nnewline\rret\x00nul\x1fctl\bbsp\ffeed",
+	},
+	"unicode": {
+		Kind: "héllo", Time: 3, Activity: "line\u2028sep\u2029para",
+		OSVersion: "snow\u00e9\u4e16\u754c",
+	},
+	"invalid-utf8":  {Kind: string([]byte{'a', 0xff, 'b'}), Time: 4, Activity: string([]byte{0xc3, 0x28})},
+	"float-frac":    {Kind: KindBoot, Time: 5, OffSeconds: 0.30000000000000004},
+	"float-tiny":    {Kind: KindBoot, Time: 6, OffSeconds: 1e-9},
+	"float-huge":    {Kind: KindBoot, Time: 7, OffSeconds: 3.5e21},
+	"float-edge-lo": {Kind: KindBoot, Time: 8, OffSeconds: 1e-6},
+	"float-edge-hi": {Kind: KindBoot, Time: 9, OffSeconds: 1e21},
+	"float-neg":     {Kind: KindBoot, Time: 10, OffSeconds: -123.456},
+	"neg-zero-off":  {Kind: KindBoot, Time: 11, OffSeconds: math.Copysign(0, -1)},
+}
+
 func TestAppendRecordMatchesStdlib(t *testing.T) {
-	cases := map[string]Record{
-		"minimal": {Kind: KindBoot, Time: 0},
-		"boot-full": {
-			Kind: KindBoot, Time: 123456789, Boot: 7, OSVersion: "7.0s",
-			PrevBeat: BeatAlive, PrevTime: 99, OffSeconds: 42.5,
-			Detected: DetectedFreeze, LogSalvaged: 3, LogLost: 1,
-		},
-		"panic": {
-			Kind: KindPanic, Time: 1, Category: "KERN-EXEC", PType: 3,
-			Apps: []string{"phone", "camera"}, Activity: "voice-call",
-		},
-		"negative-time":    {Kind: KindBoot, Time: -5, Boot: -2, PType: -7},
-		"empty-apps-slice": {Kind: KindPanic, Time: 1, Apps: []string{}},
-		"one-empty-app":    {Kind: KindPanic, Time: 1, Apps: []string{""}},
-		"escaping": {
-			Kind: `we"ird\kind`, Time: 2, OSVersion: "a<b>&c",
-			Activity: "tab\there\nnewline\rret\x00nul\x1fctl\bbsp\ffeed",
-		},
-		"unicode": {
-			Kind: "héllo", Time: 3, Activity: "line\u2028sep\u2029para",
-			OSVersion: "snow\u00e9\u4e16\u754c",
-		},
-		"invalid-utf8":  {Kind: string([]byte{'a', 0xff, 'b'}), Time: 4, Activity: string([]byte{0xc3, 0x28})},
-		"float-frac":    {Kind: KindBoot, Time: 5, OffSeconds: 0.30000000000000004},
-		"float-tiny":    {Kind: KindBoot, Time: 6, OffSeconds: 1e-9},
-		"float-huge":    {Kind: KindBoot, Time: 7, OffSeconds: 3.5e21},
-		"float-edge-lo": {Kind: KindBoot, Time: 8, OffSeconds: 1e-6},
-		"float-edge-hi": {Kind: KindBoot, Time: 9, OffSeconds: 1e21},
-		"float-neg":     {Kind: KindBoot, Time: 10, OffSeconds: -123.456},
-		"neg-zero-off":  {Kind: KindBoot, Time: 11, OffSeconds: math.Copysign(0, -1)},
-	}
-	for name, rec := range cases {
+	for name, rec := range appendCases {
 		rec := rec
 		t.Run(name, func(t *testing.T) {
 			want := marshalRecordStdlib(t, rec)

@@ -123,32 +123,55 @@ type Recovery struct {
 	Dirty bool
 }
 
-// RecoverLog scans a framed log byte range and salvages every intact
-// frame. It never panics and never invents a record: a frame is accepted
-// only when its length lands inside the data and its CRC-32C matches.
-// Recovery is idempotent — RecoverLog(rec.Clean) salvages the same frames
-// and reports no damage.
-func RecoverLog(data []byte) Recovery {
-	var rec Recovery
+// walkFrames is the one frame scan every reader of a framed log shares. It
+// calls fn with each intact frame (header through trailing newline), in
+// order, and returns how many contiguous corrupt regions it skipped. A
+// frame is accepted only when its length lands inside the data and its
+// CRC-32C matches; everything else is skipped a byte at a time. fn
+// returning false stops the walk, and the count then covers only the bytes
+// walked. The frames alias data; nothing is copied.
+func walkFrames(data []byte, fn func(frame []byte) bool) (lost int) {
 	i := 0
 	inGarbage := false
 	for i < len(data) {
 		if data[i] == FrameMagic {
-			if payload, size, ok := decodeFrame(data[i:]); ok {
-				rec.Payloads = append(rec.Payloads, payload)
-				rec.Clean = append(rec.Clean, data[i:i+size]...)
-				rec.Salvaged++
+			if _, size, ok := decodeFrame(data[i:]); ok {
+				if !fn(data[i : i+size]) {
+					return lost
+				}
 				i += size
 				inGarbage = false
 				continue
 			}
 		}
 		if !inGarbage {
-			rec.Lost++
+			lost++
 			inGarbage = true
 		}
 		i++
 	}
+	return lost
+}
+
+// framePayload returns the payload of a frame walkFrames accepted.
+func framePayload(frame []byte) []byte {
+	return frame[frameHeaderLen : len(frame)-1]
+}
+
+// RecoverLog scans a framed log byte range and salvages every intact
+// frame. It never panics and never invents a record: it keeps exactly the
+// frames walkFrames accepts. Recovery is idempotent — RecoverLog(rec.Clean)
+// salvages the same frames and reports no damage. Readers that only need
+// the payloads use ScanPayloads, which walks the same frames without
+// building Clean.
+func RecoverLog(data []byte) Recovery {
+	var rec Recovery
+	rec.Lost = walkFrames(data, func(frame []byte) bool {
+		rec.Payloads = append(rec.Payloads, framePayload(frame))
+		rec.Clean = append(rec.Clean, frame...)
+		rec.Salvaged++
+		return true
+	})
 	rec.Dirty = rec.Lost > 0 || len(rec.Clean) != len(data)
 	return rec
 }

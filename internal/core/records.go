@@ -144,21 +144,35 @@ func ParseRecords(data []byte) []Record {
 // ScanRecords parses a Log File incrementally, calling fn once per record
 // in log order without materialising the record slice — the streaming
 // analysis path reads whole exported datasets this way with one device's
-// log in memory at a time. Skip semantics are identical to ParseRecords
-// (which is built on it): corrupt frames, blank lines and unparsable JSON
-// lines are dropped. An error from fn stops the scan and is returned.
+// log in memory at a time. It is ScanPayloads with every payload decoded by
+// DecodeRecord. Skip semantics are identical to ParseRecords (which is
+// built on it): corrupt frames, blank lines and payloads encoding/json
+// rejects are dropped. An error from fn stops the scan and is returned.
 func ScanRecords(data []byte, fn func(Record) error) error {
-	if len(data) > 0 && data[0] == FrameMagic {
-		for _, payload := range RecoverLog(data).Payloads {
-			var r Record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				continue
-			}
-			if err := fn(r); err != nil {
-				return err
-			}
+	return ScanPayloads(data, func(payload []byte) error {
+		r, ok := DecodeRecord(payload)
+		if !ok {
+			return nil
 		}
-		return nil
+		return fn(r)
+	})
+}
+
+// ScanPayloads walks a Log File's record payloads in log order without
+// decoding them: for a framed log (first byte FrameMagic) the payload of
+// every intact frame RecoverLog would salvage, for a legacy log every
+// non-blank line. Callers that can tell a payload is already known by its
+// bytes alone — the collection tier's merge index — skip the decode this
+// way. The payloads alias data. An error from fn stops the scan and is
+// returned.
+func ScanPayloads(data []byte, fn func(payload []byte) error) error {
+	if len(data) > 0 && data[0] == FrameMagic {
+		var err error
+		walkFrames(data, func(frame []byte) bool {
+			err = fn(framePayload(frame))
+			return err == nil
+		})
+		return err
 	}
 	for len(data) > 0 {
 		line := data
@@ -170,11 +184,7 @@ func ScanRecords(data []byte, fn func(Record) error) error {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			continue
-		}
-		if err := fn(r); err != nil {
+		if err := fn(line); err != nil {
 			return err
 		}
 	}
@@ -194,7 +204,11 @@ func EncodeBeat(b Beat) []byte {
 // evidence; legacy single-JSON files parse directly.
 func ParseBeat(data []byte) (Beat, bool) {
 	if len(data) > 0 && data[0] == FrameMagic {
-		payloads := RecoverLog(data).Payloads
+		var payloads [][]byte
+		_ = ScanPayloads(data, func(payload []byte) error {
+			payloads = append(payloads, payload)
+			return nil
+		})
 		for i := len(payloads) - 1; i >= 0; i-- {
 			if b, ok := parseBeatPayload(payloads[i]); ok {
 				return b, true
