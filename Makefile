@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
+.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint chaos-live fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
 
 all: build vet lint test
 
@@ -62,6 +62,14 @@ chaos-replica:
 # uninterrupted run (DESIGN.md §16).
 chaos-checkpoint:
 	$(GO) test -race -run 'TestCheckpoint' -v .
+
+# The live query tier under crashes: Monitor and LiveStudy on the fleet's
+# record tap at one server (server kills) and three shards at R=3/W=2
+# (fleet kills), with concurrent shard deliveries into both while QUERY is
+# answered on the fleet's address — each must end at exactly the merged
+# dataset's distinct record set (DESIGN.md §16.3).
+chaos-live:
+	$(GO) test -race -run 'TestMonitorAndLiveStudy' -v .
 
 # Fuzz the collection server's wire protocol end to end for a short burst
 # (panics and wedged servers fail the run; CI uses the seed corpus only).

@@ -33,7 +33,7 @@ func TestAdversitySweepTable(t *testing.T) {
 					RetryMax:  12 * time.Hour,
 				},
 			}
-			fs, srv, err := RunFieldStudyWithCollector(cfg)
+			fs, srv, err := RunFieldStudyWithFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func chaosConfig(seed uint64) FieldStudyConfig {
 // merged dataset, and recovery never surfaces a corrupt record to the
 // analysis.
 func TestChaosNoAcknowledgedDataLoss(t *testing.T) {
-	fs, srv, err := RunFieldStudyWithCollector(chaosConfig(20070625))
+	fs, srv, err := RunFieldStudyWithFleet(chaosConfig(20070625))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestChaosNoAcknowledgedDataLoss(t *testing.T) {
 // simulator's ground truth even while flash tears and the network drops
 // every fifth transfer.
 func TestChaosHeadlineWithinBands(t *testing.T) {
-	fs, srv, err := RunFieldStudyWithCollector(chaosConfig(20070626))
+	fs, srv, err := RunFieldStudyWithFleet(chaosConfig(20070626))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	symfail [-seed N] [-phones N] [-months N] [-workers N] [-tcp] [-servers N] [-fleet-kill N] [-replicate R] [-quorum W] [-quick]
+//	symfail [-seed N] [-phones N] [-months N] [-workers N] [-tcp] [-servers N] [-server-kill N] [-replicate R] [-quorum W] [-quick]
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"time"
 
 	"symfail"
@@ -39,9 +38,8 @@ func run(args []string) error {
 		months     = fs.Int("months", 14, "observation window in months")
 		workers    = fs.Int("workers", 0, "concurrent device shards (0 = GOMAXPROCS, 1 = serial; any value gives byte-identical results)")
 		useTCP     = fs.Bool("tcp", false, "collect logs over a local TCP collection server")
-		serverKill = fs.Int("server-kill", 0, "with -tcp: crash the collection server about every N uploads and recover it from its write-ahead log (0 = no crashes)")
+		serverKill = fs.Int("server-kill", 0, "with -tcp: about every N requests, kill the collection server (with -servers N>1, an RNG-drawn subset of {shards, router}) and recover it from its write-ahead log (0 = no kills)")
 		servers    = fs.Int("servers", 1, "with -tcp: shard the collection tier across N servers behind a device-hash router (1 = the single durable server)")
-		fleetKill  = fs.Int("fleet-kill", 0, "with -tcp -servers N>1: about every N routed requests, kill an RNG-drawn subset of {shards, router} and recover/hand off (0 = no kills)")
 		replicate  = fs.Int("replicate", 0, "with -tcp -servers N>1: write-time replication factor R — every ACK covers R durable copies (0 = fleet default 3 capped at the membership, 1 = replication off)")
 		quorum     = fs.Int("quorum", 0, "with -replicate: write quorum W — the ACK needs W of the R copies WAL-synced; below W the fleet refuses writes with a retryable ERR (0 = min(2, R))")
 		quick      = fs.Bool("quick", false, "shortcut: 8 phones, 4 months (for smoke runs)")
@@ -74,31 +72,11 @@ func run(args []string) error {
 			KillEveryMin: (*serverKill + 1) / 2,
 			KillEveryMax: *serverKill + (*serverKill+1)/2,
 		}
-		// Weekly uploads also enable periodic chunking, so crashes land on
-		// a live stream, not only on the final collection.
-		if cfg.UploadEvery <= 0 {
-			cfg.UploadEvery = 7 * 24 * time.Hour
-		}
 	}
 	if *servers > 1 && !*useTCP {
 		return fmt.Errorf("-servers needs -tcp (the fleet shards the TCP collection tier)")
 	}
 	cfg.Servers = *servers
-	if *fleetKill > 0 {
-		if !*useTCP || *servers <= 1 {
-			return fmt.Errorf("-fleet-kill needs -tcp and -servers > 1 (kills are drawn over the fleet)")
-		}
-		if *serverKill > 0 {
-			return fmt.Errorf("-fleet-kill replaces -server-kill: the fleet supervisor owns the kill schedule")
-		}
-		cfg.Adversity.ServerCrash = collect.CrashFaults{
-			KillEveryMin: (*fleetKill + 1) / 2,
-			KillEveryMax: *fleetKill + (*fleetKill+1)/2,
-		}
-		if cfg.UploadEvery <= 0 {
-			cfg.UploadEvery = 7 * 24 * time.Hour
-		}
-	}
 	if *replicate != 0 || *quorum != 0 {
 		if !*useTCP || *servers <= 1 {
 			return fmt.Errorf("-replicate/-quorum need -tcp and -servers > 1 (replication spans fleet shards)")
@@ -135,10 +113,10 @@ func run(args []string) error {
 			cfg.Monitor = stream.NewMonitor()
 		}
 	}
-	if *serveAddr != "" && *useTCP && *servers <= 1 {
-		// On the single-collector path the live study rides the server's
-		// record tap, so the queries served afterwards saw the study live
-		// (crash replays included — LiveStudy deduplicates them).
+	if *serveAddr != "" && *useTCP {
+		// Over TCP the live study rides the fleet's record tap, so the
+		// queries served afterwards saw the study live (crash replays and
+		// replica copies included — LiveStudy deduplicates them).
 		cfg.LiveStudy = stream.NewLiveStudy(cfg.Analysis)
 	}
 
@@ -146,21 +124,14 @@ func run(args []string) error {
 		cfg.Phones, int(cfg.Duration/phone.StudyMonth), *seed)
 	start := time.Now()
 	var study *symfail.FieldStudy
-	var sup *collect.Supervisor
 	var fl *fleet.Supervisor
 	var err error
-	switch {
-	case *useTCP && *servers > 1:
+	if *useTCP {
 		study, fl, err = symfail.RunFieldStudyWithFleet(cfg)
 		if err == nil {
 			defer fl.Close()
 		}
-	case *useTCP:
-		study, sup, err = symfail.RunFieldStudyWithCollector(cfg)
-		if err == nil {
-			defer sup.Close()
-		}
-	default:
+	} else {
 		study, err = symfail.RunFieldStudy(cfg)
 	}
 	if err != nil {
@@ -168,16 +139,12 @@ func run(args []string) error {
 	}
 	fmt.Printf("simulated %.0f phone-hours in %v wall-clock\n\n",
 		study.Fleet.ObservedHours(), time.Since(start).Round(time.Millisecond))
-	if sup != nil && *serverKill > 0 {
-		fmt.Printf("collection server: %d injected crashes, %d restarts, %d uploads served, %d WAL compactions — zero acknowledged records lost\n\n",
-			sup.Crashes(), sup.Restarts(), sup.Uploads(), sup.Compactions())
-	}
 	if fl != nil {
 		fmt.Printf("collection fleet: %d shards live (epoch %d), %d uploads served\n",
 			fl.Servers(), fl.Epoch(), fl.Uploads())
-		if *fleetKill > 0 || cfg.Adversity.ServerCrash.Enabled() {
-			fmt.Printf("  %d shard crashes, %d restarts, %d router kills, %d handoffs (%d aborted, %d unplaced), %d devices migrated — zero acknowledged records lost\n",
-				fl.Crashes(), fl.Restarts(), fl.RouterKills(), fl.Handoffs(), fl.HandoffAborts(), fl.HandoffFailures(), fl.Migrated())
+		if cfg.Adversity.ServerCrash.Enabled() {
+			fmt.Printf("  %d shard crashes, %d restarts, %d WAL compactions, %d router kills, %d handoffs (%d aborted, %d unplaced), %d devices migrated — zero acknowledged records lost\n",
+				fl.Crashes(), fl.Restarts(), fl.Compactions(), fl.RouterKills(), fl.Handoffs(), fl.HandoffAborts(), fl.HandoffFailures(), fl.Migrated())
 		}
 		if fl.ReplicationFactor() > 1 {
 			fmt.Printf("  write quorum R=%d W=%d: %d suspicions (%d false), %d confirmed dead, %d repairs, %d below-quorum refusals over %d windows\n",
@@ -236,25 +203,15 @@ func run(args []string) error {
 }
 
 // serveQueries keeps a collection server answering the QUERY verb from the
-// live study until interrupted. When the study ran without a live tap (no
-// -tcp, or a sharded fleet), the live study is rebuilt from the collected
+// live study until interrupted. When the study ran without a live tap (the
+// direct, non-TCP path), the live study is rebuilt from the collected
 // dataset — equivalent to having watched the study live, since the tier's
 // dedup makes replayed deliveries and re-feeds converge.
 func serveQueries(addr string, live *stream.LiveStudy, opts stream.Config, study *symfail.FieldStudy) error {
 	if live == nil {
-		live = stream.NewLiveStudy(opts)
-		all := study.Dataset.AllRecords()
-		ids := make([]string, 0, len(all))
-		for id := range all {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			recs := append([]core.Record(nil), all[id]...)
-			sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-			for _, r := range recs {
-				live.Observe(id, r)
-			}
+		var err error
+		if live, err = liveFromDataset(study.Dataset, opts); err != nil {
+			return err
 		}
 	}
 	srv, err := collect.NewServerWith(addr, collect.NewDataset(), collect.ServerConfig{Query: live.Query})
@@ -271,4 +228,15 @@ func serveQueries(addr string, live *stream.LiveStudy, opts stream.Config, study
 	signal.Notify(ch, os.Interrupt)
 	<-ch
 	return nil
+}
+
+// liveFromDataset re-feeds a collected dataset into a fresh live study the
+// way collectFromDataset folds it in the facade: one device at a time, each
+// device's records in stable time order.
+func liveFromDataset(ds *collect.Dataset, opts stream.Config) (*stream.LiveStudy, error) {
+	live := stream.NewLiveStudy(opts)
+	f := &stream.Feeder{Observe: live.Observe}
+	err := ds.Stream(f.Begin, f.Record)
+	f.Flush()
+	return live, err
 }

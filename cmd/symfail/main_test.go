@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
+
+	"symfail"
+	"symfail/internal/phone"
 )
 
 // captureStdout redirects os.Stdout around fn.
@@ -98,5 +102,74 @@ func TestRunWorkersEquivalent(t *testing.T) {
 	}
 	if strip(serial) != strip(sharded) {
 		t.Error("-workers 4 changed the printed study; parallelism must be output-invariant")
+	}
+}
+
+// TestRunTCPEveryFleetSize: the TCP study runs through the one fleet path
+// at every -servers value, with the fleet counters and the live tap printed.
+func TestRunTCPEveryFleetSize(t *testing.T) {
+	for _, servers := range []string{"1", "3"} {
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-quick", "-seed", "5", "-tcp", "-stream", "-servers", servers})
+		})
+		if err != nil {
+			t.Fatalf("-servers %s: %v", servers, err)
+		}
+		for _, want := range []string{"collection fleet: " + servers + " shards live", "live server tap:", "Table 2"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("-servers %s: output missing %q", servers, want)
+			}
+		}
+	}
+}
+
+// TestRunServerKillAnyFleetSize: -server-kill is the one kill flag, valid
+// on a sharded fleet; the old -fleet-kill spelling is gone.
+func TestRunServerKillAnyFleetSize(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-quick", "-seed", "5", "-tcp", "-servers", "3", "-server-kill", "12"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "zero acknowledged records lost") {
+		t.Error("kill summary missing from a -server-kill fleet run")
+	}
+	_, err = captureStdout(t, func() error {
+		return run([]string{"-quick", "-tcp", "-servers", "3", "-fleet-kill", "12"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "fleet-kill") {
+		t.Errorf("-fleet-kill accepted (err %v); want an unknown-flag error", err)
+	}
+}
+
+// TestLiveFromDatasetMatchesStudy: re-feeding a collected dataset into a
+// live study reproduces the batch study's exact tables when every device
+// has records.
+func TestLiveFromDatasetMatchesStudy(t *testing.T) {
+	cfg := symfail.DefaultFieldStudyConfig(5)
+	cfg.Phones = 4
+	cfg.Duration = 2 * phone.StudyMonth
+	cfg.JoinWindow = 0
+	fs, err := symfail.RunFieldStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range fs.Dataset.Devices() {
+		if len(fs.Dataset.Records(id)) == 0 {
+			t.Fatalf("device %s has no records; the comparison needs every device populated", id)
+		}
+	}
+	live, err := liveFromDataset(fs.Dataset, cfg.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Reordered() != 0 || live.Duplicates() != 0 {
+		t.Errorf("re-feed reordered %d and duplicated %d records", live.Reordered(), live.Duplicates())
+	}
+	got, _ := json.Marshal(live.Tables())
+	want, _ := json.Marshal(fs.Study.Snapshot())
+	if string(got) != string(want) {
+		t.Errorf("live tables diverged from the study:\n got %s\nwant %s", got, want)
 	}
 }

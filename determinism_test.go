@@ -178,7 +178,7 @@ func computeAdversityFingerprint(t *testing.T, workers int) advFingerprint {
 	t.Helper()
 	cfg := adversityStudyConfig()
 	cfg.Workers = workers
-	fs, srv, err := RunFieldStudyWithCollector(cfg)
+	fs, srv, err := RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func main() {
 
 	// Collect the Log Files over the network path, as the study's
 	// automated transfer infrastructure did.
-	study, srv, err := symfail.RunFieldStudyWithCollector(cfg)
+	study, srv, err := symfail.RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		fmt.Println("study:", err)
 		return

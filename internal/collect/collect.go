@@ -447,24 +447,34 @@ func (s *Server) handleQuery(conn net.Conn, fields []string) {
 	if s.isDead() {
 		return
 	}
-	if s.cfg.Query == nil {
-		fmt.Fprint(conn, "ERR queries not served\n")
+	AnswerQuery(conn, s.cfg.Query, fields)
+}
+
+// AnswerQuery writes the reply to one "QUERY <name> [args...]" header,
+// already split into fields: "OK <answer>" from the hook, or an ERR when
+// the hook is nil ("queries not served"), the name is missing, the hook
+// fails, or its answer is not a single line. The server and the fleet
+// router both answer QUERY through it, so the two front doors cannot
+// drift apart.
+func AnswerQuery(w io.Writer, query func(name string, args []string) (string, error), fields []string) {
+	if query == nil {
+		fmt.Fprint(w, "ERR queries not served\n")
 		return
 	}
 	if len(fields) < 2 {
-		fmt.Fprint(conn, "ERR bad header\n")
+		fmt.Fprint(w, "ERR bad header\n")
 		return
 	}
-	out, err := s.cfg.Query(fields[1], fields[2:])
+	out, err := query(fields[1], fields[2:])
 	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
+		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
 	if strings.ContainsAny(out, "\n") {
-		fmt.Fprint(conn, "ERR query answer not single-line\n")
+		fmt.Fprint(w, "ERR query answer not single-line\n")
 		return
 	}
-	fmt.Fprintf(conn, "OK %s\n", out)
+	fmt.Fprintf(w, "OK %s\n", out)
 }
 
 // isDead reports whether this incarnation has been crashed (marked dead by

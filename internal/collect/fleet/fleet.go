@@ -35,6 +35,11 @@ type Config struct {
 	// serialised across shards under a fleet-level mutex; the same
 	// at-least-once delivery caveats as ServerConfig.OnRecord apply.
 	OnRecord func(deviceID string, r core.Record)
+	// Query serves the read-only QUERY verb on the fleet's address (the
+	// same hook as collect.SupervisorConfig.Query): the lone server answers
+	// it on the Servers==1 path, the router itself otherwise — outside the
+	// routed-request count, so reads never advance kill or beat schedules.
+	Query func(name string, args []string) (string, error)
 	// JoinAfter, when >0, adds one shard to the fleet after that many routed
 	// requests (a mid-study scale-up with live rebalancing). LeaveAfter,
 	// when >0, retires one shard after that many routed requests (draining
@@ -216,6 +221,7 @@ func New(cfg Config) (*Supervisor, error) {
 			Crash:          cfg.Crash,
 			Rng:            cfg.Rng,
 			OnRecord:       cfg.OnRecord,
+			Query:          cfg.Query,
 		})
 		if err != nil {
 			return nil, err
@@ -280,7 +286,7 @@ func (f *Supervisor) quorumOn() bool { return f.replicateR > 1 }
 // detector hooks are withheld on the R==1 fleet so that path stays
 // byte-identical to the pre-quorum router.
 func (f *Supervisor) routerHooks() routerHooks {
-	h := routerHooks{route: f.route, begin: f.beginRequest}
+	h := routerHooks{route: f.route, begin: f.beginRequest, query: f.cfg.Query}
 	if f.quorumOn() {
 		h.gate = f.gate
 		h.blocked = f.blockedAddr

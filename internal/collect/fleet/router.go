@@ -104,6 +104,9 @@ type routerHooks struct {
 	// observe, when set, feeds the fleet's failure detector: every forward
 	// attempt's outcome against a shard address, success or miss.
 	observe func(addr string, ok bool)
+	// query answers QUERY at the router (Config.Query); nil replies
+	// "ERR queries not served", as a server without a hook does.
+	query func(name string, args []string) (string, error)
 }
 
 // routedVerbs are the headers the router understands; everything carries
@@ -181,6 +184,13 @@ func (rt *Router) handle(conn net.Conn) {
 		return
 	}
 	fields := strings.Fields(header)
+	if len(fields) > 0 && fields[0] == "QUERY" {
+		// Answered here, never routed: a read touches no shard, and like
+		// PING on a server it stays outside begin and the quorum gate, so
+		// it cannot advance the kill or beat schedules.
+		collect.AnswerQuery(conn, rt.hooks.query, fields)
+		return
+	}
 	if len(fields) < 2 || !routedVerb(fields[0]) {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return

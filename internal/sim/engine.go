@@ -69,11 +69,12 @@ func (e Event) Label() string { return e.label }
 func (e Event) Pending() bool { return e.n != nil && e.n.gen == e.gen }
 
 // eventQueue is the contract between the engine and its pending-event
-// store. Two implementations exist: the hierarchical timing wheel (the
-// default — O(1) schedule and amortised O(1) pop with small per-slot
-// sorts) and the binary heap retained as the differential-testing
-// reference. Both must fire events in exactly (when, seq) order; the
-// wheel-vs-heap property and fuzz tests hold them to the byte.
+// store. The engine runs on the hierarchical timing wheel (O(1) schedule
+// and amortised O(1) pop with small per-slot sorts); the interface is what
+// lets the tests substitute the binary heap they keep as the wheel's
+// differential oracle (heap_test.go). Both must fire events in exactly
+// (when, seq) order; the wheel-vs-heap property and fuzz tests hold them
+// to the byte.
 type eventQueue interface {
 	// Len returns the number of pending events.
 	Len() int
@@ -120,12 +121,6 @@ type Engine struct {
 // hierarchical timing wheel.
 func NewEngine() *Engine {
 	return &Engine{queue: newWheel()}
-}
-
-// newEngineWithQueue builds an engine over an explicit queue implementation
-// (the differential tests drive a heap-backed engine against the wheel).
-func newEngineWithQueue(q eventQueue) *Engine {
-	return &Engine{queue: q}
 }
 
 // Now returns the current virtual time.
@@ -256,98 +251,4 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) String() string {
 	return fmt.Sprintf("engine{now=%s pending=%d fired=%d queue=%s}",
 		e.now, e.queue.Len(), e.fired, e.queue.name())
-}
-
-// heapQueue is the binary-heap reference implementation, ordered by
-// (when, seq). It predates the timing wheel and is retained as the oracle
-// the wheel is differentially tested against.
-type heapQueue struct {
-	nodes []*eventNode
-}
-
-func newHeapQueue() *heapQueue { return &heapQueue{} }
-
-func (q *heapQueue) name() string { return "heap" }
-
-func (q *heapQueue) Len() int { return len(q.nodes) }
-
-func (q *heapQueue) less(i, j int) bool {
-	a, b := q.nodes[i], q.nodes[j]
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
-
-func (q *heapQueue) swap(i, j int) {
-	q.nodes[i], q.nodes[j] = q.nodes[j], q.nodes[i]
-	q.nodes[i].heapIndex = int32(i)
-	q.nodes[j].heapIndex = int32(j)
-}
-
-func (q *heapQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *heapQueue) down(i int) {
-	n := len(q.nodes)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			return
-		}
-		q.swap(i, least)
-		i = least
-	}
-}
-
-func (q *heapQueue) Schedule(n *eventNode, _ Time) {
-	n.home = homeHeap
-	n.heapIndex = int32(len(q.nodes))
-	q.nodes = append(q.nodes, n)
-	q.up(len(q.nodes) - 1)
-}
-
-func (q *heapQueue) Remove(n *eventNode) {
-	i := int(n.heapIndex)
-	last := len(q.nodes) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.nodes[last] = nil
-	q.nodes = q.nodes[:last]
-	if i != last {
-		q.down(i)
-		q.up(i)
-	}
-}
-
-func (q *heapQueue) PopMin() *eventNode {
-	if len(q.nodes) == 0 {
-		return nil
-	}
-	n := q.nodes[0]
-	q.Remove(n)
-	return n
-}
-
-func (q *heapQueue) PeekWhen() (Time, bool) {
-	if len(q.nodes) == 0 {
-		return 0, false
-	}
-	return q.nodes[0].when, true
 }

@@ -25,7 +25,7 @@ func killChaosConfig(seed uint64) FieldStudyConfig {
 // itself: every record any server incarnation ever acknowledged is present
 // exactly once in the final merged dataset.
 func TestKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
-	fs, sup, err := RunFieldStudyWithCollector(killChaosConfig(20070627))
+	fs, sup, err := RunFieldStudyWithFleet(killChaosConfig(20070627))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
 // must survive the server being killed out from under the study — same
 // bands as the network/flash-only chaos harness.
 func TestKillAnythingHeadlineWithinBands(t *testing.T) {
-	fs, sup, err := RunFieldStudyWithCollector(killChaosConfig(20070629))
+	fs, sup, err := RunFieldStudyWithFleet(killChaosConfig(20070629))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,33 +23,53 @@ func sortedStrings(m map[string][]core.Record) []string {
 }
 
 // TestMonitorAndLiveStudyAcrossServerCrashes is the at-least-once tap
-// contract under real crashes: with the supervisor killing the collection
-// server mid-study, records acked by a dead incarnation are re-sent and
-// re-fire ServerConfig.OnRecord — yet both live consumers (Monitor and
-// LiveStudy) must end with exactly the distinct record set the final merged
-// dataset holds, and the live query tier must stay answerable over TCP the
-// whole time, restarts included.
+// contract under real crashes, at every fleet size: with the supervisor
+// killing collection servers (and, sharded, the router) mid-study, records
+// acked by a dead incarnation are re-sent and re-fire the record tap, and a
+// replicated fleet delivers every replica copy too — yet both live
+// consumers (Monitor and LiveStudy) must end with exactly the distinct
+// record set the final merged dataset holds, and the live query tier must
+// stay answerable over TCP on the fleet's address the whole time, restarts
+// included.
 func TestMonitorAndLiveStudyAcrossServerCrashes(t *testing.T) {
-	mon := stream.NewMonitor()
-	live := stream.NewLiveStudy(stream.Config{})
-	cfg := FieldStudyConfig{
-		Seed:        20070801,
-		Phones:      6,
-		Duration:    3 * phone.StudyMonth,
-		JoinWindow:  phone.StudyMonth / 2,
-		UploadEvery: 3 * 24 * time.Hour,
-		Monitor:     mon,
-		LiveStudy:   live,
+	for _, tc := range []struct {
+		name                       string
+		servers, replicate, quorum int
+	}{
+		{name: "servers=1", servers: 1},
+		{name: "servers=3/R=3/W=2", servers: 3, replicate: 3, quorum: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := FieldStudyConfig{
+				Seed:        20070801,
+				Phones:      6,
+				Duration:    3 * phone.StudyMonth,
+				JoinWindow:  phone.StudyMonth / 2,
+				UploadEvery: 3 * 24 * time.Hour,
+				Servers:     tc.servers,
+				Replicate:   tc.replicate,
+				Quorum:      tc.quorum,
+				Monitor:     stream.NewMonitor(),
+				LiveStudy:   stream.NewLiveStudy(stream.Config{}),
+			}
+			cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: 6, KillEveryMax: 18}
+			cfg.Adversity.ServerCompactWAL = 64 << 10
+			checkLiveTap(t, cfg)
+		})
 	}
-	cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: 6, KillEveryMax: 18}
-	cfg.Adversity.ServerCompactWAL = 64 << 10
+}
 
-	fs, sup, err := RunFieldStudyWithCollector(cfg)
+// checkLiveTap runs one fleet study with the live consumers attached and
+// holds them to the merged dataset.
+func checkLiveTap(t *testing.T, cfg FieldStudyConfig) {
+	t.Helper()
+	mon, live := cfg.Monitor, cfg.LiveStudy
+	fs, sup, err := RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
-	if sup.Crashes() == 0 {
+	if sup.Crashes()+sup.RouterKills() == 0 {
 		t.Fatal("no server crashes injected — the at-least-once replay path was not exercised")
 	}
 
@@ -75,6 +95,8 @@ func TestMonitorAndLiveStudyAcrossServerCrashes(t *testing.T) {
 	if live.Records() != total {
 		t.Errorf("live study saw %d distinct records, dataset holds %d", live.Records(), total)
 	}
+	t.Logf("%d shard crashes, %d router kills: %d distinct records, %d duplicate deliveries dropped, %d reordered",
+		sup.Crashes(), sup.RouterKills(), live.Records(), live.Duplicates(), live.Reordered())
 	if sup.Restarts() > 0 && live.Duplicates() == 0 {
 		t.Logf("note: %d restarts but no duplicate deliveries this seed", sup.Restarts())
 	}

@@ -36,7 +36,7 @@ func computeServerCrashFingerprint(t *testing.T, workers int) crashFingerprint {
 	t.Helper()
 	cfg := serverCrashStudyConfig()
 	cfg.Workers = workers
-	fs, sup, err := RunFieldStudyWithCollector(cfg)
+	fs, sup, err := RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestServerCrashSweepTable(t *testing.T) {
 			cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: k / 2, KillEveryMax: k + k/2}
 			cfg.Adversity.ServerCompactWAL = 32 << 10
 		}
-		fs, sup, err := RunFieldStudyWithCollector(cfg)
+		fs, sup, err := RunFieldStudyWithFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -203,7 +203,7 @@ func TestStreamAdversityEquivalence(t *testing.T) {
 	}
 	cfg := adversityStudyConfig()
 	cfg.Workers = 1
-	fs, sup, err := RunFieldStudyWithCollector(cfg)
+	fs, sup, err := RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,8 @@ type FieldStudyConfig struct {
 	// a reset. Zero means a single upload at study end.
 	UploadEvery time.Duration
 	// Servers, on the RunFieldStudyWithFleet path, is the collection-fleet
-	// shard count (0 or 1 runs the single durable server of the collector
-	// path; >1 shards the fleet behind a device-hash router). Ignored by
-	// RunFieldStudy and RunFieldStudyWithCollector.
+	// shard count (0 or 1 runs one durable server; >1 shards the fleet
+	// behind a device-hash router). Ignored by RunFieldStudy.
 	Servers int
 	// Replicate / Quorum, on the RunFieldStudyWithFleet path with
 	// Servers > 1, set the write-time replication factor R and write quorum
@@ -93,18 +92,18 @@ type FieldStudyConfig struct {
 	// serialised under a mutex; with parallel workers the completion order
 	// is scheduling-dependent, but the final (done == total) Peek is not.
 	Progress func(done, total int, p stream.Peek)
-	// Monitor, when set on the RunFieldStudyWithCollector path, is wired to
-	// the collection server's live record tap (ServerConfig.OnRecord) and
-	// counts records as they are acknowledged mid-study. Monitor is the one
-	// accumulator whose counts tolerate the tap's at-least-once delivery;
-	// see its doc. Ignored when no collector is run on the caller's behalf.
+	// Monitor, when set on the RunFieldStudyWithFleet path, is wired to the
+	// fleet's live record tap (fleet.Config.OnRecord) and counts records as
+	// they are acknowledged mid-study. Monitor is the one accumulator whose
+	// counts tolerate the tap's at-least-once delivery; see its doc.
+	// Ignored by RunFieldStudy.
 	Monitor *stream.Monitor
-	// LiveStudy, when set on the RunFieldStudyWithCollector path, is wired
-	// to the same live record tap and additionally serves the collection
-	// server's QUERY verb (current MTBF, decaying panic leaderboard,
-	// windowed freeze rate) while the study runs. LiveStudy deduplicates
-	// the tap's at-least-once delivery itself; see stream.LiveStudy. The
-	// fleet path does not serve queries (each shard sees only its devices).
+	// LiveStudy, when set on the RunFieldStudyWithFleet path, is wired to
+	// the same live record tap and additionally answers QUERY on the
+	// fleet's address (current MTBF, decaying panic leaderboard, windowed
+	// freeze rate) while the study runs, at any server count. LiveStudy
+	// deduplicates the tap's at-least-once delivery — crash replays and
+	// replica copies alike; see stream.LiveStudy.
 	LiveStudy *stream.LiveStudy
 
 	// healTransport, set internally by the sharded fleet path, rides
@@ -131,10 +130,10 @@ type AdversityConfig struct {
 	// RetryBase/RetryMax arm the uploader's exponential backoff between
 	// periodic ticks (zero RetryBase leaves retrying to the next tick).
 	RetryBase, RetryMax time.Duration
-	// ServerCrash injects collection-server crashes: the supervisor kills
-	// the server at drawn crashpoints mid-study and restarts it from its
-	// write-ahead log (see collect.Supervisor). Only meaningful on the TCP
-	// collector path (RunFieldStudyWithCollector).
+	// ServerCrash injects collection-server crashes on the
+	// RunFieldStudyWithFleet path: the fleet supervisor kills RNG-drawn
+	// subsets of its servers (and router, with Servers > 1) at drawn
+	// crashpoints mid-study and restarts them from their write-ahead logs.
 	ServerCrash collect.CrashFaults
 	// ServerCompactWAL overrides the WAL size that triggers server
 	// snapshot compaction (zero keeps collect.DefaultCompactEvery); small
@@ -177,10 +176,9 @@ type FieldStudy struct {
 	// BaselineDataset holds the D_EXC panic-only logs when enabled.
 	BaselineDataset *collect.Dataset
 	// Uploaders holds the per-device periodic uploaders (aligned with
-	// Fleet.Devices) when the TCP collector path with periodic uploads was
-	// configured; nil otherwise. Their counters — retries, resumes,
-	// reconnects, bytes retransmitted — are the client-side ledger of what
-	// the injected adversity cost.
+	// Fleet.Devices) on the RunFieldStudyWithFleet path; nil otherwise.
+	// Their counters — retries, resumes, reconnects, bytes retransmitted —
+	// are the client-side ledger of what the injected adversity cost.
 	Uploaders []*collect.Uploader
 }
 
@@ -295,8 +293,8 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 
 	// The direct path's Study comes straight from the merged accumulator.
 	// On the TCP path the local dataset is empty — the data lives on the
-	// caller's collection server (RunFieldStudyWithCollector re-analyses
-	// from there) — so the legacy empty Study is preserved.
+	// caller's collection fleet (RunFieldStudyWithFleet re-analyses from
+	// there) — so the legacy empty Study is preserved.
 	var study *analysis.Study
 	if cfg.CollectorAddr == "" {
 		study = analysis.FromCollect(agg)
@@ -396,82 +394,25 @@ const collectorSeedSalt = 0x636f6c6c656374
 // so beat cadence can never perturb either.
 const beatSeedSalt = 0x62656174
 
-// RunFieldStudyWithCollector runs the study uploading logs over TCP to a
-// fresh local collection server, returning the study and the server's
-// supervisor. The caller owns the supervisor's lifetime. Phones upload
-// weekly (unless cfg.UploadEvery says otherwise), so data logged before a
-// service-visit master reset survives on the server.
+// RunFieldStudyWithFleet runs the study uploading logs over TCP to a local
+// collection fleet, returning the study and the fleet supervisor; it is
+// the one TCP study path. The caller owns the supervisor's lifetime. Phones
+// upload weekly (unless cfg.UploadEvery says otherwise), so data logged
+// before a service-visit master reset survives on the servers. With
+// cfg.Servers <= 1 the fleet is one durable server with no router in
+// front; more shard it behind a device-hash router.
 //
-// The server is durable: every acknowledged verb is write-ahead-logged on
+// Every server is durable: each acknowledged verb is write-ahead-logged on
 // a crash-faithful store before the ACK reaches the wire. When
-// cfg.Adversity.ServerCrash is armed the supervisor kills the server at
-// drawn crashpoints mid-study and restarts it from that log; with
-// Workers:1 the whole crash/recover history is deterministic in the seed.
-func RunFieldStudyWithCollector(cfg FieldStudyConfig) (*FieldStudy, *collect.Supervisor, error) {
-	ds := collect.NewDataset()
-	scfg := collect.SupervisorConfig{
-		Crash:        cfg.Adversity.ServerCrash,
-		CompactEvery: cfg.Adversity.ServerCompactWAL,
-		Rng:          sim.NewRand(cfg.Seed ^ collectorSeedSalt),
-	}
-	if cfg.Monitor != nil {
-		scfg.OnRecord = cfg.Monitor.Observe
-	}
-	if cfg.LiveStudy != nil {
-		live := cfg.LiveStudy
-		scfg.Query = live.Query
-		if mon := scfg.OnRecord; mon != nil {
-			scfg.OnRecord = func(id string, r core.Record) {
-				mon(id, r)
-				live.Observe(id, r)
-			}
-		} else {
-			scfg.OnRecord = live.Observe
-		}
-	}
-	sup, err := collect.NewSupervisor("127.0.0.1:0", ds, scfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.CollectorAddr = sup.Addr()
-	if cfg.UploadEvery <= 0 {
-		cfg.UploadEvery = 7 * 24 * time.Hour
-	}
-	fs, err := RunFieldStudy(cfg)
-	if err != nil {
-		_ = sup.Close()
-		return nil, nil, err
-	}
-	if err := sup.Err(); err != nil {
-		_ = sup.Close()
-		return nil, nil, err
-	}
-	// Analyse the dataset that actually travelled over the wire, streaming
-	// it one device at a time.
-	fs.Dataset = ds
-	c, err := collectFromDataset(ds, cfg.Analysis)
-	if err != nil {
-		_ = sup.Close()
-		return nil, nil, err
-	}
-	fs.Study = analysis.FromCollect(c)
-	return fs, sup, nil
-}
-
-// RunFieldStudyWithFleet runs the study uploading logs over TCP to a
-// sharded collection fleet (cfg.Servers shards behind a device-hash
-// router), returning the study and the fleet supervisor. The caller owns
-// the supervisor's lifetime. With cfg.Servers <= 1 the fleet degenerates to
-// exactly the RunFieldStudyWithCollector single server — same construction,
-// same RNG consumption, byte-identical results.
-//
-// Every shard is the durable server of the collector path (own WAL, own
-// crash store). When cfg.Adversity.ServerCrash is armed the fleet
-// supervisor kills RNG-drawn subsets of {shards..., router} at the server
-// crashpoints plus the fleet's handoff/rebalance points, dying shards hand
-// their acked state to surviving peers, and FleetJoinAfter/FleetLeaveAfter
-// rebalance membership mid-study. Whatever dies, the merged dataset holds
-// every acknowledged record exactly once.
+// cfg.Adversity.ServerCrash is armed the fleet supervisor kills RNG-drawn
+// subsets of {shards..., router} at the server crashpoints plus the
+// fleet's handoff/rebalance points, dying shards hand their acked state to
+// surviving peers, and FleetJoinAfter/FleetLeaveAfter rebalance membership
+// mid-study. Whatever dies, the merged dataset holds every acknowledged
+// record exactly once; with Workers:1 and one server the whole
+// crash/recover history is deterministic in the seed. cfg.Monitor and
+// cfg.LiveStudy watch the study live through the fleet's record tap, and
+// cfg.LiveStudy answers QUERY on the fleet's address.
 func RunFieldStudyWithFleet(cfg FieldStudyConfig) (*FieldStudy, *fleet.Supervisor, error) {
 	servers := cfg.Servers
 	if servers < 1 {
@@ -491,15 +432,26 @@ func RunFieldStudyWithFleet(cfg FieldStudyConfig) (*FieldStudy, *fleet.Superviso
 	if cfg.Monitor != nil {
 		fcfg.OnRecord = cfg.Monitor.Observe
 	}
+	if cfg.LiveStudy != nil {
+		live := cfg.LiveStudy
+		fcfg.Query = live.Query
+		if mon := fcfg.OnRecord; mon != nil {
+			fcfg.OnRecord = func(id string, r core.Record) {
+				mon(id, r)
+				live.Observe(id, r)
+			}
+		} else {
+			fcfg.OnRecord = live.Observe
+		}
+	}
 	fl, err := fleet.New(fcfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.CollectorAddr = fl.Addr()
-	// Only the true fleet path heals transport windows: the degenerate
-	// single server must keep the collector path's exact behaviour (its
-	// request count feeds the crash schedule, so even an extra retry would
-	// shift the kill pattern off the pinned golden).
+	// Only the sharded fleet heals transport windows: the single server's
+	// request count feeds its crash schedule, so even an extra retry would
+	// shift the kill pattern off the pinned golden.
 	cfg.healTransport = servers > 1
 	if cfg.UploadEvery <= 0 {
 		cfg.UploadEvery = 7 * 24 * time.Hour

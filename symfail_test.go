@@ -147,7 +147,7 @@ func TestFieldStudyOverTCPCollector(t *testing.T) {
 	cfg := smallCfg(17)
 	cfg.Phones = 4
 	cfg.Duration = 2 * phone.StudyMonth
-	fs, srv, err := RunFieldStudyWithCollector(cfg)
+	fs, srv, err := RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestPeriodicUploadsSurviveMasterReset(t *testing.T) {
 			return c
 		},
 	}
-	fs, srv, err := RunFieldStudyWithCollector(cfg)
+	fs, srv, err := RunFieldStudyWithFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

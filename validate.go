@@ -9,8 +9,8 @@ import (
 // the validation the original study could not perform (it had no oracle).
 // Phones that were serviced are excluded from the freeze/self-shutdown
 // comparison, because a master reset wipes their pre-service log from
-// flash (use RunFieldStudyWithCollector with periodic uploads to keep that
-// data server-side).
+// flash (RunFieldStudyWithFleet's periodic uploads keep that data
+// server-side).
 type DetectionReport struct {
 	// PhonesCompared is the number of never-serviced phones scored.
 	PhonesCompared int

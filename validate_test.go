@@ -64,7 +64,7 @@ func TestUploadFrequencyImprovesPanicCapture(t *testing.T) {
 				return c
 			},
 		}
-		fs, srv, err := RunFieldStudyWithCollector(cfg)
+		fs, srv, err := RunFieldStudyWithFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
