@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint chaos-live fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
+.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint chaos-live fuzz parallel parallel-4 stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
 
 all: build vet lint test
 
@@ -80,6 +80,13 @@ fuzz:
 # golden fingerprints byte-for-byte, under the race detector (DESIGN.md §9).
 parallel:
 	$(GO) test -race -run 'ParallelEquivalence' -v .
+
+# The same equivalence with four OS threads running goroutines, whatever
+# the host's CPU count: the direct path must give the golden bytes on any
+# host, and per-device state (each kernel's IPC scratch message included)
+# must never be shared across workers.
+parallel-4:
+	GOMAXPROCS=4 $(GO) test -race -run 'ParallelEquivalence' -v .
 
 # Streaming-vs-batch equivalence: the single-pass accumulators, the batch
 # Study, and shard-merged partial accumulators must snapshot to identical

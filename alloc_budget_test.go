@@ -147,6 +147,87 @@ func TestAllocBudgets(t *testing.T) {
 			},
 		},
 		{
+			// The heartbeat as the daemon writes it now: the daemon knows
+			// its beats file's length, so a beat is one AppendFile (and a
+			// rewrite at the cap) with no size query first.
+			name: "core: heartbeat with a tracked length (AppendFile only)", budget: 0,
+			setup: func(t *testing.T) func() {
+				d, files, _ := ipcPhone(t)
+				var payload, buf []byte
+				n := d.FS().Size(core.DefaultBeatsPath)
+				op := func() {
+					payload = core.AppendBeat(payload[:0], core.Beat{Kind: core.BeatAlive, Time: int64(d.Now())})
+					buf = core.AppendFrame(buf[:0], payload)
+					if n+len(buf) > 4<<10 {
+						if files.WriteFile(core.DefaultBeatsPath, buf) == symbos.KErrNone {
+							n = len(buf)
+						}
+						return
+					}
+					if files.AppendFile(core.DefaultBeatsPath, buf) == symbos.KErrNone {
+						n += len(buf)
+					}
+				}
+				for i := 0; i < 512; i++ {
+					op()
+				}
+				return op
+			},
+		},
+		{
+			// The Database Log Server keeps its encoded reply until the
+			// activity log changes.
+			name: "phone: unchanged OpRecentActivity reply", budget: 0,
+			setup: func(t *testing.T) func() {
+				_, _, dbLog := ipcPhone(t)
+				if resp, _ := dbLog.Query(phone.OpRecentActivity, ""); len(resp) == 0 {
+					t.Fatal("no recorded activity after a day")
+				}
+				return func() { dbLog.Query(phone.OpRecentActivity, "") }
+			},
+		},
+		{
+			name: "symbos: Buf.Copy + Append into warm capacity", budget: 0,
+			setup: func(t *testing.T) func() {
+				d, _, _ := ipcPhone(t)
+				path := symbos.NewBuf(d.Kernel(), 64)
+				op := func() {
+					path.Copy("C:\\Documents\\photos")
+					path.Append("\\2006")
+				}
+				op()
+				return op
+			},
+		},
+		{
+			// One app activity as the workload runs it (a voice call):
+			// launch Telephone, exercise its descriptor and client/server
+			// paths on the app's main thread, close it. Down from 22 when
+			// every launch built its thread, scheduler, heap, cell map,
+			// handle map and service, and every session its own scratch
+			// Message and labels. What remains is the process (one
+			// allocation with its thread, scheduler and heap), its App,
+			// its handle index, the session, and the descriptor and its
+			// payload strings.
+			name: "phone: one app activity (launch, perform, close)", budget: 7,
+			setup: func(t *testing.T) func() {
+				d, _, _ := ipcPhone(t)
+				return func() {
+					a := d.LaunchApp(phone.AppTelephone)
+					k, th := d.Kernel(), a.Proc().Main()
+					k.Exec(th, "voice-call", func() {
+						num := symbos.NewBuf(k, 32)
+						num.Copy("+3908112345")
+						num.Append("67")
+						sess := d.DBLogServer().Connect(th)
+						sess.SendReceive(phone.OpPing, "call "+num.String(), nil)
+						sess.Close()
+					})
+					d.CloseApp(phone.AppTelephone)
+				}
+			},
+		},
+		{
 			// The collection tier's re-send case: every payload of the
 			// incoming stream is already in the device's merge index, so
 			// the merge is a frame walk and one set lookup per record, and

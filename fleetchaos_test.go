@@ -1,7 +1,6 @@
 package symfail
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -104,78 +103,6 @@ func TestFleetKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
 				t.Errorf("%s: unknown record kind %q surfaced from fleet recovery: %+v", id, r.Kind, r)
 			}
 		}
-	}
-}
-
-// computeFleetCrashFingerprint is computeServerCrashFingerprint on the
-// fleet path: with Servers:1 it must be the exact PR 4 collector, so the
-// golden fingerprint it produces must be byte-identical to the pinned one.
-func computeFleetCrashFingerprint(t *testing.T, workers, servers int) crashFingerprint {
-	t.Helper()
-	cfg := serverCrashStudyConfig()
-	cfg.Workers = workers
-	cfg.Servers = servers
-	fs, fl, err := RunFieldStudyWithFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	if err := fl.Err(); err != nil {
-		t.Fatal(err)
-	}
-	rep := fs.Study.MTBF()
-	fp := crashFingerprint{
-		Crashes:     fl.Crashes(),
-		Restarts:    fl.Restarts(),
-		Compactions: fl.Compactions(),
-	}
-	fp.Panics = len(fs.Study.Panics())
-	fp.Freezes = rep.Freezes
-	fp.SelfShutdowns = rep.SelfShutdowns
-	fp.ObservedHours = rep.ObservedHours
-	for _, d := range fs.Fleet.Devices {
-		fp.Boots += d.BootCount()
-		fp.TornWrites += d.FS().TornWrites()
-		fp.BitFlips += d.FS().BitFlips()
-	}
-	if ps := fs.Study.Panics(); len(ps) > 0 {
-		fp.FirstPanicKey = ps[0].Key()
-		fp.FirstPanicAt = int64(ps[0].Time)
-	}
-	for _, l := range fs.Loggers {
-		fp.LogBytes += len(l.LogBytes())
-	}
-	for _, id := range fs.Dataset.Devices() {
-		for _, r := range fs.Dataset.Records(id) {
-			fp.Salvaged += r.LogSalvaged
-			fp.Lost += r.LogLost
-		}
-	}
-	fp.DatasetCRC = fs.Dataset.CRC32C()
-	return fp
-}
-
-// TestFleetServers1DegeneratesToServerCrashGolden: a one-server fleet is
-// not "approximately" the PR 4 collector — it is the PR 4 collector. Same
-// construction, same RNG consumption, no router in the path: the whole
-// crash fingerprint, dataset CRC included, must be byte-identical to the
-// pinned server-crash golden.
-func TestFleetServers1DegeneratesToServerCrashGolden(t *testing.T) {
-	path := filepath.Join("testdata", "golden_fingerprint_servercrash.json")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no server-crash golden (run `go test -run Golden -update .`): %v", err)
-	}
-	got := computeFleetCrashFingerprint(t, 1, 1)
-	blob, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob = append(blob, '\n')
-	if !bytes.Equal(blob, want) {
-		t.Errorf("one-server fleet drifted from the PR 4 golden.\n got: %s\nwant: %s\n"+
-			"The degenerate path must construct the exact single supervisor with the exact RNG stream.",
-			blob, want)
 	}
 }
 

@@ -73,13 +73,23 @@ func (c Config) withDefaults(d *phone.Device) Config {
 type Logger struct {
 	dev *phone.Device
 	cfg Config
+
+	// Scratch encode buffers: every heartbeat and record append reuses
+	// them instead of allocating a payload and a frame per write, and they
+	// outlive the boot, so a fresh daemon does not grow them again. One
+	// daemon runs at a time (a boot halts the previous kernel), it is
+	// single-threaded (one engine), and the file server only borrows a
+	// write's bytes for the call — the flash store copies what it keeps —
+	// so reuse is safe.
+	payload []byte
+	buf     []byte
 }
 
 // Install attaches the logger to a device. It takes effect from the next
 // boot, so call it before the device's enrolment boot fires.
 func Install(d *phone.Device, cfg Config) *Logger {
 	l := &Logger{dev: d, cfg: cfg.withDefaults(d)}
-	d.OnBoot(l.startDaemon)
+	d.OnBoot(func(d *phone.Device) { l.startDaemon(d) })
 	return l
 }
 
@@ -126,19 +136,21 @@ type daemon struct {
 	powerMgr  *symbos.ActiveObject
 	battProp  *symbos.Property
 
-	// Scratch encode buffers: every heartbeat and record append reuses
-	// them instead of allocating a payload and a frame per write. The
-	// daemon is single-threaded (one engine), and the file server only
-	// borrows a write's bytes for the call — the flash store copies what
-	// it keeps — so reuse is safe.
-	payload []byte
-	buf     []byte
+	// beatsLen is the daemon's own record of the beats file's length (-1:
+	// absent), so a heartbeat is one append instead of a size query plus
+	// an append. It is seeded from the boot-time read of the beats file and
+	// advanced by writeFile/appendFile, through which every write of the
+	// daemon goes, only when the file server reports KErrNone. That is
+	// exact because nothing else writes the beats file while the daemon
+	// runs: a torn write needs a power loss, which ends this daemon; a
+	// quota reject leaves the file whole; bit rot keeps its length.
+	beatsLen int
 }
 
 // startDaemon launches the logger application on the freshly booted kernel.
-func (l *Logger) startDaemon(d *phone.Device) {
+func (l *Logger) startDaemon(d *phone.Device) *daemon {
 	k := d.Kernel()
-	dm := &daemon{l: l, dev: d, k: k}
+	dm := &daemon{l: l, dev: d, k: k, beatsLen: -1}
 	dm.proc = k.StartProcess("FailureLogger", false)
 	t := dm.proc.Main()
 	dm.appArch = d.AppArchServer().Connect(t)
@@ -211,6 +223,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 			}
 		})
 	})
+	return dm
 }
 
 // maxBeatsBytes caps the append-only heartbeat file; past it the file is
@@ -225,15 +238,29 @@ const maxBeatsBytes = 4 << 10
 // rewriting in place would risk destroying the very record the freeze
 // detector depends on.
 func (dm *daemon) writeBeat(kind BeatKind) {
-	dm.payload = AppendBeat(dm.payload[:0], Beat{Kind: kind, Time: int64(dm.k.Now())})
-	dm.buf = AppendFrame(dm.buf[:0], dm.payload)
-	frame := dm.buf
-	if n, code := dm.files.SizeFile(dm.l.cfg.BeatsPath); code == symbos.KErrNone &&
-		n+len(frame) > maxBeatsBytes {
-		dm.files.WriteFile(dm.l.cfg.BeatsPath, frame)
+	l := dm.l
+	l.payload = AppendBeat(l.payload[:0], Beat{Kind: kind, Time: int64(dm.k.Now())})
+	l.buf = AppendFrame(l.buf[:0], l.payload)
+	frame := l.buf
+	if dm.beatsLen >= 0 && dm.beatsLen+len(frame) > maxBeatsBytes {
+		dm.writeFile(l.cfg.BeatsPath, frame)
 		return
 	}
-	dm.files.AppendFile(dm.l.cfg.BeatsPath, frame)
+	dm.appendFile(l.cfg.BeatsPath, frame)
+}
+
+// writeFile and appendFile are the daemon's only file writes; both keep
+// beatsLen in step with what the file server stored.
+func (dm *daemon) writeFile(path string, data []byte) {
+	if dm.files.WriteFile(path, data) == symbos.KErrNone && path == dm.l.cfg.BeatsPath {
+		dm.beatsLen = len(data)
+	}
+}
+
+func (dm *daemon) appendFile(path string, data []byte) {
+	if dm.files.AppendFile(path, data) == symbos.KErrNone && path == dm.l.cfg.BeatsPath {
+		dm.beatsLen = max(dm.beatsLen, 0) + len(data)
+	}
 }
 
 // recoverLog repairs the consolidated Log File from its on-flash bytes:
@@ -245,10 +272,18 @@ func (dm *daemon) recoverLog() Recovery {
 	if code != symbos.KErrNone || len(data) == 0 {
 		return Recovery{}
 	}
-	rec := RecoverLog(data)
-	if rec.Dirty {
-		dm.files.WriteFile(dm.l.cfg.LogPath, rec.Clean)
+	// A log whose bytes are all intact frames needs no repair, and the
+	// boot record carries a tally only after one, so a clean log costs a
+	// frame walk and builds nothing.
+	intact := 0
+	if lost := walkFrames(data, func(frame []byte) bool {
+		intact += len(frame)
+		return true
+	}); lost == 0 && intact == len(data) {
+		return Recovery{}
 	}
+	rec := RecoverLog(data) // Dirty, by the walk above
+	dm.writeFile(dm.l.cfg.LogPath, rec.Clean)
 	return rec
 }
 
@@ -268,6 +303,7 @@ func (dm *daemon) consolidateBoot(recovered Recovery) {
 		rec.LogLost = recovered.Lost
 	}
 	if data, code := dm.files.ReadFile(dm.l.cfg.BeatsPath); code == symbos.KErrNone {
+		dm.beatsLen = len(data)
 		if beat, valid := ParseBeat(data); valid {
 			rec.PrevBeat = beat.Kind
 			rec.PrevTime = beat.Time
@@ -316,7 +352,7 @@ func (dm *daemon) sampleRunningApps() {
 	if code != symbos.KErrNone {
 		resp = nil
 	}
-	dm.files.WriteFile(dm.l.cfg.RunAppPath, resp)
+	dm.writeFile(dm.l.cfg.RunAppPath, resp)
 }
 
 // queryRunningApps asks the Application Architecture Server for the
@@ -335,13 +371,13 @@ func (dm *daemon) collectActivity() {
 	if code != symbos.KErrNone {
 		return
 	}
-	dm.files.WriteFile(dm.l.cfg.ActivityPath, resp)
+	dm.writeFile(dm.l.cfg.ActivityPath, resp)
 }
 
 // recordPower refreshes the power file from the System Agent.
 func (dm *daemon) recordPower() {
 	if batt, code := dm.sysAgent.Query(phone.OpBatteryStatus, ""); code == symbos.KErrNone {
-		dm.files.WriteFile(dm.l.cfg.PowerPath, batt)
+		dm.writeFile(dm.l.cfg.PowerPath, batt)
 	}
 }
 
@@ -365,20 +401,24 @@ func (dm *daemon) currentActivity(at sim.Time) string {
 }
 
 // append adds a record to the consolidated Log File as a checksummed
-// frame, rotating when the flash budget is exhausted.
+// frame, rotating when the flash budget is exhausted. Unlike the beats
+// file's, the Log File's length is asked of the file server rather than
+// tracked: the daemon is not its only writer (UserReporter appends its
+// reports straight to flash), and records are rare next to heartbeats.
 func (dm *daemon) append(rec Record) {
-	dm.payload = AppendRecord(dm.payload[:0], rec)
-	dm.buf = AppendFrame(dm.buf[:0], dm.payload)
-	frame := dm.buf
-	if n, code := dm.files.SizeFile(dm.l.cfg.LogPath); code == symbos.KErrNone &&
-		n+len(frame) > dm.l.cfg.MaxLogBytes {
+	l := dm.l
+	l.payload = AppendRecord(l.payload[:0], rec)
+	l.buf = AppendFrame(l.buf[:0], l.payload)
+	frame := l.buf
+	if n, code := dm.files.SizeFile(l.cfg.LogPath); code == symbos.KErrNone &&
+		n+len(frame) > l.cfg.MaxLogBytes {
 		// Rotation is the one path that still has to materialise the
 		// file: it keeps the newest half of the records.
-		if data, rcode := dm.files.ReadFile(dm.l.cfg.LogPath); rcode == symbos.KErrNone {
-			dm.files.WriteFile(dm.l.cfg.LogPath, rotateFramed(data, dm.l.cfg.MaxLogBytes/2))
+		if data, rcode := dm.files.ReadFile(l.cfg.LogPath); rcode == symbos.KErrNone {
+			dm.writeFile(l.cfg.LogPath, rotateFramed(data, l.cfg.MaxLogBytes/2))
 		}
 	}
-	dm.files.AppendFile(dm.l.cfg.LogPath, frame)
+	dm.appendFile(l.cfg.LogPath, frame)
 }
 
 // rotate drops the oldest records so at most keep bytes remain, cutting at

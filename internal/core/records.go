@@ -204,6 +204,19 @@ func EncodeBeat(b Beat) []byte {
 // evidence; legacy single-JSON files parse directly.
 func ParseBeat(data []byte) (Beat, bool) {
 	if len(data) > 0 && data[0] == FrameMagic {
+		// The newest intact beat almost always parses, so try it before
+		// collecting every payload for the backwards search.
+		var last []byte
+		_ = ScanPayloads(data, func(payload []byte) error {
+			last = payload
+			return nil
+		})
+		if last == nil {
+			return Beat{}, false
+		}
+		if b, ok := parseBeatPayload(last); ok {
+			return b, true
+		}
 		var payloads [][]byte
 		_ = ScanPayloads(data, func(payload []byte) error {
 			payloads = append(payloads, payload)

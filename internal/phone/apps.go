@@ -44,7 +44,7 @@ type App struct {
 	visible bool // listed by the Application Architecture Server
 	dev     *Device
 	proc    *symbos.Process
-	svc     *symbos.Server
+	svc     *symbos.Server // see service
 }
 
 // Name returns the application name.
@@ -75,19 +75,30 @@ func (d *Device) launch(name string, visible bool) *App {
 	proc := d.kernel.StartProcess(name, false)
 	proc.Main().WatchViewSrv() // all stock apps are UI applications
 	a := &App{name: name, ui: true, visible: visible, dev: d, proc: proc}
-	a.svc = symbos.AdoptServer(proc, func(m *symbos.Message) {
-		switch m.Op {
-		case OpPing:
-			m.Complete(symbos.KErrNone)
-		case OpCorruptComplete:
-			m.NullifyPtr()
-			m.Complete(symbos.KErrNone)
-		default:
-			m.Complete(symbos.KErrNotSupported)
-		}
-	})
 	d.apps[name] = a
 	return a
+}
+
+// service returns the application's in-process service, adopted on first
+// use: only the fault model ever connects to one.
+func (a *App) service() *symbos.Server {
+	if a.svc == nil {
+		a.svc = symbos.AdoptServer(a.proc, serveApp)
+	}
+	return a.svc
+}
+
+// serveApp is every application service's handler.
+func serveApp(m *symbos.Message) {
+	switch m.Op {
+	case OpPing:
+		m.Complete(symbos.KErrNone)
+	case OpCorruptComplete:
+		m.NullifyPtr()
+		m.Complete(symbos.KErrNone)
+	default:
+		m.Complete(symbos.KErrNotSupported)
+	}
 }
 
 // CloseApp exits the named application if it is running.

@@ -80,9 +80,15 @@ type Device struct {
 	appArchReply, dbLogReply, sysAgentReply, msgReply []byte
 	appNames                                          []string
 
+	// activityLog is the Database Log Server's event log. dbLogFresh says
+	// dbLogReply already holds its OpRecentActivity encoding; every change
+	// to the log clears it.
 	activityLog     []ActivityRecord
+	dbLogFresh      bool
 	currentActivity Activity
 	activityToken   int
+
+	lazy *deviceLazy // see lazyState
 
 	onBoot        []func(*Device)
 	shutdownHooks []func(ShutdownReason)
@@ -94,6 +100,77 @@ type Device struct {
 	recentFailures []sim.Time
 	servicePending bool
 	serviced       int
+}
+
+// deviceLazy is what a device builds once, on first use during the study,
+// rather than per event: NewDevice and setup do no extra work for it.
+type deviceLazy struct {
+	// The activity mix in draw order (pickActivity). The mix is fixed
+	// once the device exists: ServicePhone rescales rates, never the mix.
+	mixKinds   []Activity
+	mixWeights []float64
+	// labels are the engine-event labels (label).
+	labels [numLabels]string
+}
+
+// lazyState returns the device's deviceLazy, allocating it on first use.
+func (d *Device) lazyState() *deviceLazy {
+	if d.lazy == nil {
+		d.lazy = &deviceLazy{}
+	}
+	return d.lazy
+}
+
+// eventLabel names one of the device's recurring engine events.
+type eventLabel int
+
+// The device's recurring engine events. Labels are diagnostic only; each
+// is "<prefix> <device id>".
+const (
+	lblActivity eventLabel = iota
+	lblActivityEnd
+	lblNight
+	lblDayOff
+	lblCharge
+	lblBattery
+	lblSpontaneous
+	lblOutputFailure
+	lblPanicOp
+	lblBoot
+	lblService
+	lblBatteryPull
+	lblPanicFreeze
+	lblPanicShutdown
+	lblBurstPanic
+	numLabels
+)
+
+var labelPrefixes = [numLabels]string{
+	lblActivity:      "activity ",
+	lblActivityEnd:   "activity-end ",
+	lblNight:         "night ",
+	lblDayOff:        "dayoff ",
+	lblCharge:        "charge ",
+	lblBattery:       "battery ",
+	lblSpontaneous:   "spontaneous ",
+	lblOutputFailure: "output-failure ",
+	lblPanicOp:       "panic-op ",
+	lblBoot:          "boot ",
+	lblService:       "service ",
+	lblBatteryPull:   "battery-pull ",
+	lblPanicFreeze:   "panic-freeze ",
+	lblPanicShutdown: "panic-shutdown ",
+	lblBurstPanic:    "burst-panic ",
+}
+
+// label returns the device's label for event l, built on first use rather
+// than concatenated for every event scheduled.
+func (d *Device) label(l eventLabel) string {
+	lz := d.lazyState()
+	if lz.labels[l] == "" {
+		lz.labels[l] = labelPrefixes[l] + d.id
+	}
+	return lz.labels[l]
 }
 
 // OutputFailure is a user-visible value failure: the device delivered the
@@ -261,7 +338,7 @@ func (d *Device) powerDown(offFor time.Duration) {
 	d.accountUptime()
 	d.kernel.Halt()
 	d.state = StateOff
-	d.eng.After(offFor, "boot "+d.id, d.boot)
+	d.eng.After(offFor, d.label(lblBoot), d.boot)
 }
 
 // SelfShutdown reboots the phone on its own initiative (a silent failure).
@@ -306,7 +383,7 @@ func (d *Device) noteFailureForService() {
 // or so of phone-on time.
 func (d *Device) scheduleServiceVisit() {
 	gen := d.bootGen
-	d.eng.After(d.rng.ExpDuration(18*time.Hour), "service "+d.id, func() {
+	d.eng.After(d.rng.ExpDuration(18*time.Hour), d.label(lblService), func() {
 		if !d.live(gen) {
 			return // retried from the next boot; servicePending persists
 		}
@@ -352,7 +429,7 @@ func (d *Device) Freeze(cause string) {
 	d.state = StateFrozen
 	d.kernel.Halt()
 	wait := d.rng.LogNormalDuration(d.cfg.FreezeImpatienceMedian, d.cfg.FreezeImpatienceSigma)
-	d.eng.After(wait, "battery-pull "+d.id, func() {
+	d.eng.After(wait, d.label(lblBatteryPull), func() {
 		if d.state != StateFrozen {
 			return
 		}
@@ -361,7 +438,7 @@ func (d *Device) Freeze(cause string) {
 		d.fs.Crash()
 		d.state = StateOff
 		off := d.rng.LogNormalDuration(d.cfg.BatteryPullOffMedian, d.cfg.BatteryPullOffSigma)
-		d.eng.After(off, "boot "+d.id, d.boot)
+		d.eng.After(off, d.label(lblBoot), d.boot)
 	})
 }
 

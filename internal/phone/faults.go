@@ -197,13 +197,13 @@ func (f *faultModel) afterPanic(p *symbos.Panic, proc *symbos.Process) {
 	cause := "panic " + p.Key()
 	switch r := d.rng.Float64(); {
 	case r < freezeP:
-		d.eng.After(hlDelay, "panic-freeze "+d.id, func() {
+		d.eng.After(hlDelay, d.label(lblPanicFreeze), func() {
 			if d.live(gen) {
 				d.Freeze(cause)
 			}
 		})
 	case r < freezeP+shutdownP:
-		d.eng.After(hlDelay, "panic-shutdown "+d.id, func() {
+		d.eng.After(hlDelay, d.label(lblPanicShutdown), func() {
 			if d.live(gen) {
 				d.SelfShutdown(cause)
 			}
@@ -218,7 +218,7 @@ func (f *faultModel) scheduleFollower() {
 	d := f.d
 	gen := d.bootGen
 	gap := d.rng.LogNormalDuration(d.cfg.BurstGap, 0.5)
-	d.eng.After(gap, "burst-panic "+d.id, func() {
+	d.eng.After(gap, d.label(lblBurstPanic), func() {
 		if !d.live(gen) {
 			f.inBurst = false
 			return
@@ -376,7 +376,7 @@ func (f *faultModel) injectNullMessagePtr() {
 	a := f.victim()
 	shell := f.d.shellApp()
 	f.d.kernel.Exec(shell.proc.Main(), "fault-client", func() {
-		sess := a.svc.Connect(shell.proc.Main())
+		sess := a.service().Connect(shell.proc.Main())
 		sess.SendReceive(OpCorruptComplete, "", nil)
 	})
 }

@@ -140,9 +140,13 @@ func (d *Device) startServers() {
 	d.dbLog = symbos.NewServer(d.kernel, SrvDBLog, true, func(m *symbos.Message) {
 		switch m.Op {
 		case OpRecentActivity:
-			// Encode straight from the log tail: the handler runs
-			// synchronously, so no defensive copy is needed.
-			d.dbLogReply = appendActivity(d.dbLogReply[:0], d.recentActivityView(10))
+			// The reply is re-encoded only after the log changed; no
+			// client keeps a reply past its request, so the same bytes
+			// are handed out until then.
+			if !d.dbLogFresh {
+				d.dbLogReply = appendActivity(d.dbLogReply[:0], d.recentActivityView(10))
+				d.dbLogFresh = true
+			}
 			m.Respond(d.dbLogReply)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
@@ -212,12 +216,15 @@ func (d *Device) SysAgentServer() *symbos.Server { return d.sysAgent }
 // MessageServer exposes the Message Server.
 func (d *Device) MessageServer() *symbos.Server { return d.msgSrv }
 
-// recordActivityStart opens an activity record in the database log.
+// recordActivityStart opens an activity record in the database log. A full
+// log drops its oldest record in place, so the log's array is reused.
 func (d *Device) recordActivityStart(kind Activity) {
-	d.activityLog = append(d.activityLog, ActivityRecord{Kind: kind, Start: d.eng.Now(), End: sim.Never})
-	if len(d.activityLog) > activityLogCap {
-		d.activityLog = d.activityLog[len(d.activityLog)-activityLogCap:]
+	if n := len(d.activityLog); n == activityLogCap {
+		copy(d.activityLog, d.activityLog[1:])
+		d.activityLog = d.activityLog[:n-1]
 	}
+	d.activityLog = append(d.activityLog, ActivityRecord{Kind: kind, Start: d.eng.Now(), End: sim.Never})
+	d.dbLogFresh = false
 }
 
 // recordActivityEnd closes the most recent open record of the given kind.
@@ -225,6 +232,7 @@ func (d *Device) recordActivityEnd(kind Activity) {
 	for i := len(d.activityLog) - 1; i >= 0; i-- {
 		if d.activityLog[i].Kind == kind && d.activityLog[i].Ongoing() {
 			d.activityLog[i].End = d.eng.Now()
+			d.dbLogFresh = false
 			return
 		}
 	}

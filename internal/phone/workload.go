@@ -92,7 +92,7 @@ func (d *Device) scheduleNextActivity(gen int) {
 	if !d.awake() {
 		delay = d.untilWake() + d.rng.ExpDuration(meanGap/2)
 	}
-	d.eng.After(delay, "activity "+d.id, func() {
+	d.eng.After(delay, d.label(lblActivity), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -105,20 +105,22 @@ func (d *Device) scheduleNextActivity(gen int) {
 
 // pickActivity draws an activity class from the configured mix.
 func (d *Device) pickActivity() Activity {
-	kinds := make([]Activity, 0, len(d.cfg.ActivityMix))
-	weights := make([]float64, 0, len(d.cfg.ActivityMix))
-	// Deterministic order: iterate a fixed list, not the map.
-	for _, a := range allActivities {
-		if w, ok := d.cfg.ActivityMix[a]; ok && w > 0 {
-			kinds = append(kinds, a)
-			weights = append(weights, w)
+	lz := d.lazyState()
+	if lz.mixKinds == nil {
+		lz.mixKinds = make([]Activity, 0, len(d.cfg.ActivityMix))
+		// Deterministic order: iterate a fixed list, not the map.
+		for _, a := range allActivities {
+			if w, ok := d.cfg.ActivityMix[a]; ok && w > 0 {
+				lz.mixKinds = append(lz.mixKinds, a)
+				lz.mixWeights = append(lz.mixWeights, w)
+			}
 		}
 	}
-	idx := d.rng.WeightedIndex(weights)
+	idx := d.rng.WeightedIndex(lz.mixWeights)
 	if idx < 0 {
 		return ActIdle
 	}
-	return kinds[idx]
+	return lz.mixKinds[idx]
 }
 
 // allActivities fixes the iteration order over activity classes.
@@ -162,7 +164,7 @@ func (d *Device) beginActivity(gen int, act Activity) {
 		median = time.Minute
 	}
 	dur := d.rng.LogNormalDuration(median, d.cfg.ActivitySigma)
-	d.eng.After(dur, "activity-end "+d.id, func() {
+	d.eng.After(dur, d.label(lblActivityEnd), func() {
 		if !d.live(gen) || d.activityToken != token {
 			return
 		}
@@ -206,7 +208,7 @@ func (d *Device) scheduleNightCheck(gen int) {
 		delay += 24 * time.Hour
 	}
 	delay += d.rng.ExpDuration(10 * time.Minute)
-	d.eng.After(delay, "night "+d.id, func() {
+	d.eng.After(delay, d.label(lblNight), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -229,7 +231,7 @@ func (d *Device) scheduleDayOff(gen int) {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "dayoff "+d.id, func() {
+	d.eng.After(d.rng.ExpDuration(mean), d.label(lblDayOff), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -257,7 +259,7 @@ func (d *Device) scheduleEveningCharge(gen int) {
 	if delay <= 0 {
 		delay += 24 * time.Hour
 	}
-	d.eng.After(delay, "charge "+d.id, func() {
+	d.eng.After(delay, d.label(lblCharge), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -270,7 +272,7 @@ func (d *Device) scheduleEveningCharge(gen int) {
 }
 
 func (d *Device) scheduleBatteryTick(gen int) {
-	d.eng.After(time.Hour, "battery "+d.id, func() {
+	d.eng.After(time.Hour, d.label(lblBattery), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -308,7 +310,7 @@ func (d *Device) scheduleSpontaneous(gen int, freeze bool) {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "spontaneous "+d.id, func() {
+	d.eng.After(d.rng.ExpDuration(mean), d.label(lblSpontaneous), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -340,7 +342,7 @@ func (d *Device) scheduleOutputFailures(gen int) {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "output-failure "+d.id, func() {
+	d.eng.After(d.rng.ExpDuration(mean), d.label(lblOutputFailure), func() {
 		if !d.live(gen) {
 			return
 		}
@@ -366,7 +368,7 @@ func (d *Device) schedulePanicOpportunity(gen int) {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "panic-op "+d.id, func() {
+	d.eng.After(d.rng.ExpDuration(mean), d.label(lblPanicOp), func() {
 		if !d.live(gen) {
 			return
 		}

@@ -29,11 +29,10 @@ type eventNode struct {
 
 	// Intrusive links. In the wheel the node sits on exactly one doubly
 	// linked list (a slot, the ready list, or the overflow level); on the
-	// free list only next is used. The reference heap uses heapIndex.
+	// free list only next is used.
 	next, prev *eventNode
 	home       int8 // one of homeFree..homeOverflow
 	lvl, slot  int8 // wheel slot coordinates when home == homeSlot
-	heapIndex  int32
 }
 
 // Node homes.
@@ -42,7 +41,6 @@ const (
 	homeReady
 	homeSlot
 	homeOverflow
-	homeHeap
 )
 
 // Event is a cancellable handle to a scheduled callback, returned by the

@@ -8,12 +8,14 @@ func newEngineWithQueue(q eventQueue) *Engine {
 
 // heapQueue is the binary-heap reference implementation, ordered by
 // (when, seq). It predates the timing wheel and is retained as the oracle
-// the wheel is differentially tested against.
+// the wheel is differentially tested against. It keeps its own index of
+// each node's position, so eventNode carries nothing for it.
 type heapQueue struct {
 	nodes []*eventNode
+	index map[*eventNode]int
 }
 
-func newHeapQueue() *heapQueue { return &heapQueue{} }
+func newHeapQueue() *heapQueue { return &heapQueue{index: make(map[*eventNode]int)} }
 
 func (q *heapQueue) name() string { return "heap" }
 
@@ -29,8 +31,8 @@ func (q *heapQueue) less(i, j int) bool {
 
 func (q *heapQueue) swap(i, j int) {
 	q.nodes[i], q.nodes[j] = q.nodes[j], q.nodes[i]
-	q.nodes[i].heapIndex = int32(i)
-	q.nodes[j].heapIndex = int32(j)
+	q.index[q.nodes[i]] = i
+	q.index[q.nodes[j]] = j
 }
 
 func (q *heapQueue) up(i int) {
@@ -64,18 +66,18 @@ func (q *heapQueue) down(i int) {
 }
 
 func (q *heapQueue) Schedule(n *eventNode, _ Time) {
-	n.home = homeHeap
-	n.heapIndex = int32(len(q.nodes))
+	q.index[n] = len(q.nodes)
 	q.nodes = append(q.nodes, n)
 	q.up(len(q.nodes) - 1)
 }
 
 func (q *heapQueue) Remove(n *eventNode) {
-	i := int(n.heapIndex)
+	i := q.index[n]
 	last := len(q.nodes) - 1
 	if i != last {
 		q.swap(i, last)
 	}
+	delete(q.index, n)
 	q.nodes[last] = nil
 	q.nodes = q.nodes[:last]
 	if i != last {

@@ -34,25 +34,25 @@ type ActiveObject struct {
 type ActiveScheduler struct {
 	thread *Thread
 	aos    []*ActiveObject
-	seq    int
 	down   bool
 
 	// Interned wake-up event: Complete schedules the same label and
 	// closure thousands of times per simulated hour, so both are built
-	// once here instead of once per completion.
-	wakeLabel  string
-	wakeFn     func()
-	dispatchFn func()
+	// once, on the first completion (most schedulers never see one).
+	wakeLabel string
+	wakeFn    func()
 }
 
-func newActiveScheduler(t *Thread) *ActiveScheduler {
-	s := &ActiveScheduler{thread: t}
-	s.wakeLabel = "active-scheduler " + t.name
-	s.dispatchFn = s.dispatchOne
-	s.wakeFn = func() {
-		t.proc.kernel.Exec(t, "dispatch", s.dispatchFn)
+// wake schedules the scheduler's dispatch on the next engine tick.
+func (s *ActiveScheduler) wake() {
+	t := s.thread
+	if s.wakeFn == nil {
+		s.wakeLabel = "active-scheduler " + t.Name()
+		s.wakeFn = func() {
+			t.proc.kernel.Exec(t, "dispatch", s.dispatchOne)
+		}
 	}
-	return s
+	t.proc.kernel.eng.After(0, s.wakeLabel, s.wakeFn)
 }
 
 // Thread returns the owning thread.
@@ -126,8 +126,7 @@ func (ao *ActiveObject) Complete(code int) {
 	}
 	ao.status = code
 	ao.complete = true
-	s := ao.thread.scheduler
-	ao.thread.proc.kernel.eng.After(0, s.wakeLabel, s.wakeFn)
+	ao.thread.scheduler.wake()
 }
 
 // dispatchOne runs the highest-priority completed active object, if any.

@@ -1,6 +1,10 @@
 package symbos
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"unicode/utf8"
+)
 
 // Buf is a modifiable 16-bit variant descriptor (TBuf/TDes16). Descriptors
 // are Symbian's bounds-checked strings; the bounds checks are exactly what
@@ -32,20 +36,31 @@ func (b *Buf) String() string { return string(b.data) }
 
 // Copy replaces the contents with s (TDes::Copy). Overflow raises USER 11.
 func (b *Buf) Copy(s string) {
-	rs := []rune(s)
-	if len(rs) > b.max {
-		b.overflow("Copy", len(rs))
+	n := utf8.RuneCountInString(s)
+	if n > b.max {
+		b.overflow("Copy", n)
 	}
-	b.data = append(b.data[:0], rs...)
+	b.data = appendRunes(b.data[:0], s, n)
 }
 
 // Append adds s at the end (TDes::Append). Overflow raises USER 11.
 func (b *Buf) Append(s string) {
-	rs := []rune(s)
-	if len(b.data)+len(rs) > b.max {
-		b.overflow("Append", len(b.data)+len(rs))
+	n := utf8.RuneCountInString(s)
+	if len(b.data)+n > b.max {
+		b.overflow("Append", len(b.data)+n)
 	}
-	b.data = append(b.data, rs...)
+	b.data = appendRunes(b.data, s, n)
+}
+
+// appendRunes appends the n runes of s to dst exactly as
+// append(dst, []rune(s)...) would (invalid bytes become U+FFFD), growing dst
+// at most once and without the temporary []rune.
+func appendRunes(dst []rune, s string, n int) []rune {
+	dst = slices.Grow(dst, n)
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // AppendFill adds n copies of ch (TDes::AppendFill). Overflow raises USER 11.

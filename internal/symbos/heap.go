@@ -12,17 +12,9 @@ type Heap struct {
 	limit     int
 	allocated int
 	nextID    int
-	cells     map[int]*Cell
+	cells     map[int]*Cell // live cells; allocated on first AllocL
 	allocs    uint64
 	frees     uint64
-}
-
-func newHeap(k *Kernel, limit int) *Heap {
-	return &Heap{
-		kernel: k,
-		limit:  limit,
-		cells:  make(map[int]*Cell),
-	}
 }
 
 // Cell is one heap allocation.
@@ -56,6 +48,9 @@ func (h *Heap) AllocL(t *Thread, size int, tag string) *Cell {
 	}
 	h.nextID++
 	c := &Cell{id: h.nextID, size: size, heap: h, tag: tag}
+	if h.cells == nil {
+		h.cells = make(map[int]*Cell)
+	}
 	h.cells[c.id] = c
 	h.allocated += size
 	h.allocs++

@@ -35,6 +35,12 @@ type Kernel struct {
 	ViewSrvTimeout sim.Duration
 
 	panicsRaised int
+
+	// ipcScratch is the Message every synchronous request borrows while
+	// ipcBusy is clear (see acquire). The kernel belongs to one device and
+	// one engine goroutine, so the scratch is never shared across workers.
+	ipcScratch Message
+	ipcBusy    bool
 }
 
 // NewKernel boots a kernel on the given engine.
@@ -78,15 +84,18 @@ func (k *Kernel) StartProcess(name string, system bool) *Process {
 	if old, ok := k.procs[name]; ok && old.alive {
 		panic(fmt.Sprintf("symbos: duplicate process %q", name))
 	}
-	p := &Process{
-		name:   name,
-		system: system,
-		alive:  true,
-		kernel: k,
-		heap:   newHeap(k, defaultHeapLimit),
-		objs:   make(map[Handle]*KObject),
-	}
-	p.main = p.SpawnThread(name + "::Main")
+	// One allocation per launch: the main thread, its active scheduler and
+	// the heap are fields of the Process. The main thread's name is built
+	// on first use (Thread.Name).
+	p := &Process{name: name, system: system, alive: true, kernel: k}
+	p.ownHeap = Heap{kernel: k, limit: defaultHeapLimit}
+	p.heap = &p.ownHeap
+	p.mainThread = Thread{proc: p, cleanupInstalled: true}
+	p.mainSched.thread = &p.mainThread
+	p.mainThread.scheduler = &p.mainSched
+	p.main = &p.mainThread
+	p.threadBuf[0] = p.main
+	p.threads = p.threadBuf[:1]
 	k.procs[name] = p
 	return p
 }
@@ -150,7 +159,7 @@ func (k *Kernel) Exec(t *Thread, label string, fn func()) (p *Panic) {
 					Reason:   "leave " + ErrName(lv.code) + " with no trap handler installed",
 					Time:     k.eng.Now(),
 					Process:  t.proc.name,
-					Thread:   t.name,
+					Thread:   t.Name(),
 					System:   t.proc.system,
 				}
 			} else {
@@ -175,7 +184,7 @@ func (k *Kernel) Raise(cat Category, typ int, reason string) {
 	}
 	if k.current != nil {
 		p.Process = k.current.proc.name
-		p.Thread = k.current.name
+		p.Thread = k.current.Name()
 		p.System = k.current.proc.system
 	} else {
 		p.Process = "?"

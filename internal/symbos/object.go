@@ -31,18 +31,44 @@ func (o *KObject) Open() bool { return o.open }
 // OpenObject creates a kernel object in the process's object index with a
 // reference count of one and returns its handle.
 func (p *Process) OpenObject(kind, name string) Handle {
+	return p.openObject(&KObject{}, kind, name)
+}
+
+// openObject enters o, initialised with a reference count of one, in the
+// object index. Callers that own the object's storage (a Session embeds its
+// own) pass it in.
+func (p *Process) openObject(o *KObject, kind, name string) Handle {
+	*o = KObject{name: name, kind: kind, refs: 1, open: true}
 	p.nextH++
-	h := p.nextH
-	p.objs[h] = &KObject{name: name, kind: kind, refs: 1, open: true}
-	return h
+	p.enter(p.nextH, o)
+	return p.nextH
+}
+
+// enter binds handle h to o. The index is a slice by handle number (h-1),
+// nil where a handle was closed or never entered (CorruptHandle skips
+// numbers), so a process that opens one handle allocates one pointer.
+func (p *Process) enter(h Handle, o *KObject) {
+	for len(p.objs) < int(h) {
+		p.objs = append(p.objs, nil)
+	}
+	p.objs[h-1] = o
+	p.liveHandles++
+}
+
+// lookup returns the object behind h, or nil when h is not in the index.
+func (p *Process) lookup(h Handle) *KObject {
+	if h < 1 || int(h) > len(p.objs) {
+		return nil
+	}
+	return p.objs[h-1]
 }
 
 // FindObject resolves a raw handle through the Kernel Executive. An
 // unknown handle raises KERN-EXEC 0: "the Kernel Executive cannot find an
 // object in the object index ... using the specified object index number".
 func (p *Process) FindObject(h Handle) *KObject {
-	o, ok := p.objs[h]
-	if !ok || !o.open {
+	o := p.lookup(h)
+	if o == nil || !o.open {
 		p.kernel.Raise(CatKernExec, TypeBadHandle,
 			fmt.Sprintf("object index has no object for raw handle %d", h))
 	}
@@ -55,19 +81,20 @@ func (p *Process) DuplicateHandle(h Handle) Handle {
 	o := p.FindObject(h)
 	o.refs++
 	p.nextH++
-	p.objs[p.nextH] = o
+	p.enter(p.nextH, o)
 	return p.nextH
 }
 
 // CloseHandle is RHandleBase::Close routed through the Kernel Server. A
 // corrupt handle — one whose object cannot be found — raises KERN-SVR 0.
 func (p *Process) CloseHandle(h Handle) {
-	o, ok := p.objs[h]
-	if !ok {
+	o := p.lookup(h)
+	if o == nil {
 		p.kernel.Raise(CatKernSvr, TypeSvrBadHandle,
 			fmt.Sprintf("Kernel Server cannot find object for handle %d (corrupt handle)", h))
 	}
-	delete(p.objs, h)
+	p.objs[h-1] = nil
+	p.liveHandles--
 	o.refs--
 	if o.refs <= 0 {
 		o.open = false
@@ -83,7 +110,7 @@ func (p *Process) CorruptHandle() Handle {
 }
 
 // HandleCount returns the number of live handles in the process.
-func (p *Process) HandleCount() int { return len(p.objs) }
+func (p *Process) HandleCount() int { return p.liveHandles }
 
 // CObject is a reference-counted container object (class CObject). Its
 // destructor panics with E32USER-CBase 33 when the reference count is not

@@ -9,15 +9,22 @@ const defaultHeapLimit = 1 << 20
 // Process is a Symbian process: an address space with one heap, an object
 // index (handle table) and one or more threads.
 type Process struct {
-	name    string
-	system  bool
-	alive   bool
-	kernel  *Kernel
-	heap    *Heap
-	objs    map[Handle]*KObject
-	nextH   Handle
-	main    *Thread
-	threads []*Thread
+	name        string
+	system      bool
+	alive       bool
+	kernel      *Kernel
+	heap        *Heap
+	objs        []*KObject // object index by handle number (see enter)
+	nextH       Handle
+	liveHandles int
+	main        *Thread
+	threads     []*Thread
+
+	// Storage for what every process starts with (see StartProcess).
+	mainThread Thread
+	mainSched  ActiveScheduler
+	ownHeap    Heap
+	threadBuf  [1]*Thread
 }
 
 // Name returns the process name (the application name in the logs).
@@ -48,7 +55,7 @@ func (p *Process) SpawnThread(name string) *Thread {
 		proc:             p,
 		cleanupInstalled: true,
 	}
-	t.scheduler = newActiveScheduler(t)
+	t.scheduler = &ActiveScheduler{thread: t}
 	p.threads = append(p.threads, t)
 	return t
 }
@@ -68,8 +75,14 @@ type Thread struct {
 	viewSrvWatched   bool
 }
 
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
+// Name returns the thread name. A main thread is named "<process>::Main",
+// built on first use: most processes never need it.
+func (t *Thread) Name() string {
+	if t.name == "" && t == t.proc.main {
+		t.name = t.proc.name + "::Main"
+	}
+	return t.name
+}
 
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.proc }

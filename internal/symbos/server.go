@@ -15,6 +15,17 @@ type Server struct {
 	proc    *Process
 	handler Handler
 	served  uint64
+
+	// Synchronous requests are the hottest IPC path in the simulator, so
+	// the server interns its Exec labels and serve closure once, on the
+	// first Connect; a server nobody connects to never builds them. cur
+	// points serveFn at the request being dispatched; dispatch saves and
+	// restores it, so a handler that calls back into its own server sees
+	// its own message again afterwards.
+	serveLabel string
+	ipcLabel   string
+	serveFn    func()
+	cur        *Message
 }
 
 // NewServer starts a server process with the given message handler.
@@ -89,72 +100,64 @@ func (m *Message) Complete(code int) {
 }
 
 // Session is a client connection to a server, held in the client process's
-// object index like any other kernel object.
+// object index like any other kernel object. The index entry is the
+// session's own obj, so a connection allocates no separate KObject.
 type Session struct {
 	server *Server
 	client *Thread
 	handle Handle
 	open   bool
-
-	// Synchronous requests are the hottest IPC path in the simulator, so
-	// each session interns its Exec label/closure and keeps one scratch
-	// Message. cur points serveFn at the request being dispatched; the
-	// busy flag falls nested (re-entrant) requests back to a fresh
-	// allocation, and every handler in the tree replies before returning
-	// (Exec recovers server panics), so the scratch never outlives a call.
-	serveLabel string
-	ipcLabel   string
-	serveFn    func()
-	cur        *Message
-	scratch    Message
-	busy       bool
+	obj    KObject
 }
 
 // Connect opens a session from the client thread to the server
 // (RSessionBase::CreateSession).
 func (s *Server) Connect(client *Thread) *Session {
-	h := client.proc.OpenObject("session", s.name)
-	sess := &Session{server: s, client: client, handle: h, open: true}
-	sess.serveLabel = "serve " + s.name
-	sess.ipcLabel = "ipc " + s.name
-	sess.serveFn = func() { sess.server.handler(sess.cur) }
+	if s.serveFn == nil {
+		s.serveLabel = "serve " + s.name
+		s.ipcLabel = "ipc " + s.name
+		s.serveFn = func() { s.handler(s.cur) }
+	}
+	sess := &Session{server: s, client: client, open: true}
+	sess.handle = client.proc.openObject(&sess.obj, "session", s.name)
 	return sess
 }
 
-// acquire readies a Message for one request — the session scratch when
-// free, a fresh allocation when a handler re-entered the same session.
-func (sess *Session) acquire(k *Kernel, op int, payload string, data []byte) *Message {
-	m := &sess.scratch
-	if sess.busy {
+// acquire readies a Message for one synchronous request: the kernel's
+// scratch when free, a fresh allocation when a handler issues a nested
+// request (to any server) before its own request has returned. Every
+// handler in the tree replies before returning (Exec recovers server
+// panics), so the scratch never outlives a call.
+func (k *Kernel) acquire(sess *Session, op int, payload string, data []byte) *Message {
+	m := &k.ipcScratch
+	if k.ipcBusy {
 		m = &Message{}
 	} else {
-		sess.busy = true
+		k.ipcBusy = true
 	}
-	*m = Message{
-		Op:        op,
-		Payload:   payload,
-		Data:      data,
-		Client:    sess.client.proc.name,
-		server:    sess.server,
-		kernel:    k,
-		replyCode: KErrDisconnected, // a panicking server never replies
-	}
+	// Field by field: every field a previous request may have set is
+	// reset, without copying a whole Message literal per call.
+	m.Op, m.Payload, m.Data, m.Response = op, payload, data, nil
+	m.Client = sess.client.proc.name
+	m.server, m.kernel = sess.server, k
+	m.replied, m.nullPtr, m.replyAO = false, false, nil
+	m.replyCode = KErrDisconnected // a panicking server never replies
 	return m
 }
 
-func (sess *Session) release(m *Message) {
-	if m == &sess.scratch {
-		m.Data, m.Response = nil, nil // neither buffer belongs to the session
-		sess.busy = false
+func (k *Kernel) release(m *Message) {
+	if m == &k.ipcScratch {
+		m.Data, m.Response = nil, nil // neither buffer belongs to the kernel
+		k.ipcBusy = false
 	}
 }
 
 // dispatch runs the server handler on m in the server's thread context.
-func (sess *Session) dispatch(k *Kernel, m *Message) {
-	prev := sess.cur
-	sess.cur = m
-	k.Exec(sess.server.proc.main, sess.serveLabel, sess.serveFn)
-	sess.cur = prev
+func (s *Server) dispatch(k *Kernel, m *Message) {
+	prev := s.cur
+	s.cur = m
+	k.Exec(s.proc.main, s.serveLabel, s.serveFn)
+	s.cur = prev
 }
 
 // Handle returns the session's raw handle in the client's object index.
@@ -192,10 +195,10 @@ func (sess *Session) call(verb string, op int, payload string, data []byte) ([]b
 	if !sess.server.proc.alive {
 		return nil, KErrDisconnected
 	}
-	m := sess.acquire(k, op, payload, data)
-	sess.dispatch(k, m)
+	m := k.acquire(sess, op, payload, data)
+	sess.server.dispatch(k, m)
 	resp, code := m.Response, m.replyCode
-	sess.release(m)
+	k.release(m)
 	return resp, code
 }
 
@@ -210,7 +213,7 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 	}
 	ao.SetActive()
 	// Async requests outlive this call, so the message cannot come from
-	// the session scratch.
+	// the kernel scratch.
 	m := &Message{
 		Op:      op,
 		Payload: payload,
@@ -219,12 +222,12 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 		kernel:  k,
 		replyAO: ao,
 	}
-	k.eng.After(0, sess.ipcLabel, func() {
+	k.eng.After(0, sess.server.ipcLabel, func() {
 		if !sess.server.proc.alive {
 			ao.Complete(KErrDisconnected)
 			return
 		}
-		sess.dispatch(k, m)
+		sess.server.dispatch(k, m)
 		if !m.replied {
 			// The server panicked mid-request; fail the client request.
 			ao.Complete(KErrDisconnected)

@@ -80,6 +80,9 @@ func computeServerCrashFingerprint(t *testing.T, workers int) crashFingerprint {
 // seed and crashpoints give a byte-identical recovered dataset and the
 // exact same crash/recover history, process to process. If WAL recovery
 // were lossy, order-dependent or nondeterministic, DatasetCRC would drift.
+// The study runs through RunFieldStudyWithFleet at one server (Servers 0
+// means 1), so it also pins that the one-server fleet is the single
+// durable collector, with no router in the path.
 func TestGoldenServerCrashFingerprint(t *testing.T) {
 	path := filepath.Join("testdata", "golden_fingerprint_servercrash.json")
 	got := computeServerCrashFingerprint(t, 1)
