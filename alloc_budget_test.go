@@ -123,10 +123,11 @@ func TestAllocBudgets(t *testing.T) {
 			},
 		},
 		{
-			// The Heartbeat AO's write: frame a beat in scratch, size-gate
-			// the beats file and append, compacting with an in-place
-			// rewrite past the cap (4 KiB, core's maxBeatsBytes). Warmed
-			// past one compaction, the file's array never grows again.
+			// A beat written the way the logger once wrote every beat:
+			// frame it in scratch, size-gate the beats file and append,
+			// compacting with an in-place rewrite past the cap (4 KiB,
+			// core's maxBeatsBytes). Warmed past one compaction, the
+			// file's array never grows again.
 			name: "core: heartbeat (SizeFile + AppendFile, compaction amortised)", budget: 0,
 			setup: func(t *testing.T) func() {
 				d, files, _ := ipcPhone(t)
@@ -147,9 +148,9 @@ func TestAllocBudgets(t *testing.T) {
 			},
 		},
 		{
-			// The heartbeat as the daemon writes it now: the daemon knows
-			// its beats file's length, so a beat is one AppendFile (and a
-			// rewrite at the cap) with no size query first.
+			// A boot or shutdown beat as the daemon writes it: the daemon
+			// knows its beats file's length, so a beat is one AppendFile
+			// (and a rewrite at the cap) with no size query first.
 			name: "core: heartbeat with a tracked length (AppendFile only)", budget: 0,
 			setup: func(t *testing.T) func() {
 				d, files, _ := ipcPhone(t)
@@ -170,6 +171,40 @@ func TestAllocBudgets(t *testing.T) {
 				}
 				for i := 0; i < 512; i++ {
 					op()
+				}
+				return op
+			},
+		},
+		{
+			// An owed ALIVE beat settled by the next flash operation:
+			// framed in the logger's own warm scratch and appended
+			// straight to the store. A 10 ms period puts one beat due per
+			// step of the clock while no other engine event fires, so the
+			// op is exactly one settled beat.
+			name: "core: settle one owed beat (warm scratch)", budget: 0,
+			setup: func(t *testing.T) func() {
+				eng := sim.NewEngine()
+				d := phone.NewDevice("alloc-owed", eng, phone.DefaultConfig(1))
+				l := core.Install(d, core.Config{HeartbeatPeriod: 10 * time.Millisecond})
+				d.Enroll(sim.Epoch)
+				eng.Step() // boot
+				beats := l.Config().BeatsPath
+				op := func() {
+					if err := eng.Run(eng.Now().Add(l.Config().HeartbeatPeriod)); err != nil {
+						t.Fatal(err)
+					}
+					d.FS().Size(beats)
+				}
+				op() // from here on, each op finds one beat owed
+				fired, written := eng.Fired(), d.FS().Writes()
+				// Warm past several compactions of the 4 KiB beats file.
+				const warm = 512
+				for i := 0; i < warm; i++ {
+					op()
+				}
+				if eng.Fired() != fired || d.FS().Writes() != written+warm {
+					t.Fatalf("%d events fired and %d flash writes in %d beat periods: want 0 and %d",
+						eng.Fired()-fired, d.FS().Writes()-written, warm, warm)
 				}
 				return op
 			},

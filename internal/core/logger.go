@@ -12,7 +12,7 @@ import (
 // Config tunes the logger. Zero values fall back to the defaults the study
 // deployment used.
 type Config struct {
-	// HeartbeatPeriod is the Heartbeat AO period (default: the device's
+	// HeartbeatPeriod is the spacing of ALIVE beats (default: the device's
 	// configured heartbeat period). Shorter periods detect freezes with
 	// finer off-time resolution at the price of flash wear — the ablation
 	// bench sweeps this.
@@ -83,6 +83,12 @@ type Logger struct {
 	// so reuse is safe.
 	payload []byte
 	buf     []byte
+	// owedPayload and owedBuf encode owed ALIVE beats (daemon.settle). They
+	// are apart from payload and buf because a settle runs at the top of
+	// another write's flash operation, inside its file-server call, while
+	// that write's frame is still in buf.
+	owedPayload []byte
+	owedBuf     []byte
 }
 
 // Install attaches the logger to a device. It takes effect from the next
@@ -127,8 +133,6 @@ type daemon struct {
 	sysAgent *symbos.Session
 	files    *symbos.FileSession
 
-	heartbeat *symbos.ActiveObject
-	hbTimer   *symbos.Timer
 	runApp    *symbos.ActiveObject
 	raTimer   *symbos.Timer
 	logEngine *symbos.ActiveObject
@@ -137,20 +141,30 @@ type daemon struct {
 	battProp  *symbos.Property
 
 	// beatsLen is the daemon's own record of the beats file's length (-1:
-	// absent), so a heartbeat is one append instead of a size query plus
-	// an append. It is seeded from the boot-time read of the beats file and
-	// advanced by writeFile/appendFile, through which every write of the
-	// daemon goes, only when the file server reports KErrNone. That is
+	// absent), so a beat is one append instead of a size query plus an
+	// append. It is seeded from the boot-time read of the beats file and
+	// advanced by writeFile/appendFile and storeBeat, through which every
+	// write of the daemon goes, only when the store accepted it. That is
 	// exact because nothing else writes the beats file while the daemon
 	// runs: a torn write needs a power loss, which ends this daemon; a
 	// quota reject leaves the file whole; bit rot keeps its length.
 	beatsLen int
+
+	// Owed heartbeats. While the daemon runs, its ALIVE beats fall on the
+	// fixed grid boot + k·HeartbeatPeriod, and only the next boot reads
+	// them. So no timer writes them as they fall due: the daemon owes
+	// them, and settle writes them, oldest first, just before anything
+	// can observe the flash (DESIGN.md §19). nextBeat is the oldest beat
+	// still owed; beats counts every ALIVE beat that has come due since
+	// boot, stored or not.
+	nextBeat sim.Time
+	beats    uint64
 }
 
 // startDaemon launches the logger application on the freshly booted kernel.
 func (l *Logger) startDaemon(d *phone.Device) *daemon {
 	k := d.Kernel()
-	dm := &daemon{l: l, dev: d, k: k, beatsLen: -1}
+	dm := &daemon{l: l, dev: d, k: k, beatsLen: -1, nextBeat: k.Now().Add(l.cfg.HeartbeatPeriod)}
 	dm.proc = k.StartProcess("FailureLogger", false)
 	t := dm.proc.Main()
 	dm.appArch = d.AppArchServer().Connect(t)
@@ -168,17 +182,19 @@ func (l *Logger) startDaemon(d *phone.Device) *daemon {
 		dm.writeBeat(BeatAlive)
 	})
 
-	// Heartbeat AO: the highest-priority active object, re-arming its own
-	// RTimer every period.
-	dm.heartbeat = t.NewActiveObject("Heartbeat", 10, func(int) {
-		dm.writeBeat(BeatAlive)
-		dm.hbTimer.After(l.cfg.HeartbeatPeriod)
-	})
-	dm.hbTimer = symbos.NewTimer(dm.heartbeat)
-	k.Exec(t, "logger-arm-heartbeat", func() { dm.hbTimer.After(l.cfg.HeartbeatPeriod) })
+	// Owed heartbeats settle before any flash operation and before the
+	// kernel halts or terminates a process — this daemon's or the file
+	// server's, after which no owed beat could be stored. The daemon's
+	// own active objects also settle the beat at their instant: the
+	// paper's Heartbeat AO had the top priority, so it ran first whenever
+	// it fell due with one of them.
+	settle := dm.settle
+	d.FS().SetOwner(settle)
+	k.SetStopHook(settle)
 
 	// Running Applications Detector AO.
 	dm.runApp = t.NewActiveObject("RunningApplicationsDetector", 5, func(int) {
+		dm.settleThrough(true)
 		dm.sampleRunningApps()
 		dm.raTimer.After(l.cfg.RunAppPeriod)
 	})
@@ -187,6 +203,7 @@ func (l *Logger) startDaemon(d *phone.Device) *daemon {
 
 	// Log Engine AO.
 	dm.logEngine = t.NewActiveObject("LogEngine", 5, func(int) {
+		dm.settleThrough(true)
 		dm.collectActivity()
 		dm.leTimer.After(l.cfg.ActivityPeriod)
 	})
@@ -198,6 +215,7 @@ func (l *Logger) startDaemon(d *phone.Device) *daemon {
 	// shutdown can be told apart from a failure (section 5.1).
 	dm.battProp = d.Properties().Attach(symbos.PropBatteryStatus)
 	dm.powerMgr = t.NewActiveObject("PowerManager", 5, func(int) {
+		dm.settleThrough(true)
 		dm.recordPower()
 		dm.battProp.Subscribe(dm.powerMgr)
 	})
@@ -209,8 +227,8 @@ func (l *Logger) startDaemon(d *phone.Device) *daemon {
 	// Panic Detector: RDebug notification from the Kernel Server.
 	k.SubscribeRDebug(dm.onPanic)
 
-	// Power Manager + Heartbeat shutdown path: when Symbian lets
-	// applications complete their tasks before power-off, record why.
+	// Power Manager shutdown path: when Symbian lets applications
+	// complete their tasks before power-off, record why.
 	d.RegisterShutdownHook(func(reason phone.ShutdownReason) {
 		k.Exec(t, "logger-shutdown", func() {
 			switch reason {
@@ -231,26 +249,85 @@ func (l *Logger) startDaemon(d *phone.Device) *daemon {
 // boot-time detector).
 const maxBeatsBytes = 4 << 10
 
-// writeBeat records the heartbeat on flash, through the file server like
-// any other Symbian application. Beats are *appended* as checksummed
-// frames rather than rewriting the file in place: a torn append only
-// damages the newest frame, and recovery falls back to the previous beat —
-// rewriting in place would risk destroying the very record the freeze
-// detector depends on.
+// writeBeat records a boot or shutdown beat on flash, through the file
+// server like any other Symbian application. Beats are *appended* as
+// checksummed frames rather than rewriting the file in place: a torn
+// append only damages the newest frame, and recovery falls back to the
+// previous beat — rewriting in place would risk destroying the very record
+// the freeze detector depends on. Owed ALIVE beats land first, so the
+// compaction choice counts them.
 func (dm *daemon) writeBeat(kind BeatKind) {
+	dm.settle()
 	l := dm.l
 	l.payload = AppendBeat(l.payload[:0], Beat{Kind: kind, Time: int64(dm.k.Now())})
 	l.buf = AppendFrame(l.buf[:0], l.payload)
 	frame := l.buf
-	if dm.beatsLen >= 0 && dm.beatsLen+len(frame) > maxBeatsBytes {
+	if dm.compacts(frame) {
 		dm.writeFile(l.cfg.BeatsPath, frame)
 		return
 	}
 	dm.appendFile(l.cfg.BeatsPath, frame)
 }
 
-// writeFile and appendFile are the daemon's only file writes; both keep
-// beatsLen in step with what the file server stored.
+// compacts reports whether a beat frame must replace the beats file
+// rather than extend it past maxBeatsBytes.
+func (dm *daemon) compacts(frame []byte) bool {
+	return dm.beatsLen >= 0 && dm.beatsLen+len(frame) > maxBeatsBytes
+}
+
+// settle stores the ALIVE beats owed strictly before now. It is the view
+// of everything outside the daemon's own active objects: a low-battery
+// shutdown on a battery tick that falls on a beat instant ran before the
+// Heartbeat AO's timer, so that beat was never written.
+func (dm *daemon) settle() { dm.settleThrough(false) }
+
+// settleThrough stores, oldest first, every ALIVE beat owed before now,
+// and the one at now too when atNow is set. Each beat is one write straight
+// to the flash store, with the frame, compaction rule and length tracking
+// of writeBeat: the same store writes in the same order as when a timer
+// wrote each beat through the file server, so flash wear, bit-rot draws,
+// quota checks and the write a battery pull tears all replay unchanged.
+// A beat that falls due while the file server is dead is lost, as its
+// request would have failed; a halted kernel or a terminated daemon owes
+// nothing more, because the stop hook settled up to that instant.
+func (dm *daemon) settleThrough(atNow bool) {
+	now := dm.k.Now()
+	if dm.nextBeat > now || (dm.nextBeat == now && !atNow) {
+		return
+	}
+	if dm.k.Halted() || !dm.proc.Alive() {
+		return
+	}
+	stored := dm.dev.FileServer().Server().Process().Alive()
+	for dm.nextBeat < now || (atNow && dm.nextBeat == now) {
+		at := dm.nextBeat
+		dm.nextBeat = at.Add(dm.l.cfg.HeartbeatPeriod)
+		dm.beats++
+		if stored {
+			dm.storeBeat(at)
+		}
+	}
+}
+
+// storeBeat writes the ALIVE beat owed at instant at to the flash store.
+func (dm *daemon) storeBeat(at sim.Time) {
+	l, fs := dm.l, dm.dev.FS()
+	l.owedPayload = AppendBeat(l.owedPayload[:0], Beat{Kind: BeatAlive, Time: int64(at)})
+	l.owedBuf = AppendFrame(l.owedBuf[:0], l.owedPayload)
+	frame := l.owedBuf
+	if dm.compacts(frame) {
+		if fs.Write(l.cfg.BeatsPath, frame) {
+			dm.beatsLen = len(frame)
+		}
+		return
+	}
+	if fs.Append(l.cfg.BeatsPath, frame) {
+		dm.beatsLen = max(dm.beatsLen, 0) + len(frame)
+	}
+}
+
+// writeFile and appendFile are the daemon's file-server writes; like
+// storeBeat, both keep beatsLen in step with what the store holds.
 func (dm *daemon) writeFile(path string, data []byte) {
 	if dm.files.WriteFile(path, data) == symbos.KErrNone && path == dm.l.cfg.BeatsPath {
 		dm.beatsLen = len(data)

@@ -4,7 +4,9 @@
 //
 //   - Heartbeat: periodically writes ALIVE records and, via the shutdown
 //     notification, REBOOT/LOWBT/MAOFF records, enabling freeze and
-//     self-shutdown detection (section 5.2);
+//     self-shutdown detection (section 5.2). The simulated daemon owes
+//     its ALIVE records and writes them, in order, just before anything
+//     can observe the flash (DESIGN.md §19);
 //   - Panic Detector: subscribes to the Kernel Server's RDebug panic
 //     notifications and consolidates panic context into the Log File;
 //   - Running Applications Detector: samples the Application Architecture

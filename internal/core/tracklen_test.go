@@ -6,26 +6,33 @@ import (
 
 	"symfail/internal/phone"
 	"symfail/internal/sim"
+	"symfail/internal/symbos"
 )
 
 // TestTrackedBeatsLengthMatchesFlash holds the daemon's own record of its
 // beats file's length to the flash. After every engine event of a live
-// boot — so after every heartbeat, beats compaction, boot-time recovery and
-// Log File append or rotation — beatsLen must equal FS.Size of the beats
-// file (-1 while the file is absent). The cases cover what could make the
-// two drift apart: reboots (the length is re-seeded), torn writes on a
-// frozen phone's battery pull, a full flash that rejects writes with
-// KErrDiskFull, another writer on the Log File (the user-report extension),
-// and a file server that dies mid-boot, after which every write fails with
-// KErrDisconnected.
+// boot — so after every settle of owed heartbeats, beats compaction,
+// boot-time recovery and Log File append or rotation — beatsLen must equal
+// FS.Size of the beats file (-1 while the file is absent). The cases cover
+// what could make the two drift apart: reboots (the length is re-seeded),
+// torn writes on a frozen phone's battery pull, a full flash that rejects
+// writes with KErrDiskFull, another writer on the Log File (the
+// user-report extension), and a file server that dies mid-boot, after
+// which no owed beat is stored.
+//
+// It also holds owed beats to the grid they fall on. On a fault-free flash
+// with a live file server, reading the flash after any event shows the
+// boot beat or the ALIVE beat of the latest grid instant before now (or at
+// now, when one of the daemon's active objects settled it). After the file
+// server dies, no beat due after the kill lands for the rest of the boot.
 func TestTrackedBeatsLengthMatchesFlash(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*phone.Config)
 		// killFS terminates the file server partway through every boot:
 		// three hours in on odd boots, and on even boots just before the
-		// heartbeat that would compact the beats file, so both a failed
-		// append and a failed compaction rewrite are exercised.
+		// beat that would compact the beats file, so both a lost append
+		// and a lost compaction rewrite are exercised.
 		killFS bool
 		// reporter installs UserReporter, which appends to the Log File
 		// straight on flash — beside the daemon, never to the beats file.
@@ -59,7 +66,7 @@ func TestTrackedBeatsLengthMatchesFlash(t *testing.T) {
 			},
 			check: func(t *testing.T, _ *phone.Device, s trackStats) {
 				if s.failedBeats == 0 {
-					t.Error("no heartbeat was rejected by the full flash")
+					t.Error("no beat was rejected by the full flash")
 				}
 			},
 		},
@@ -78,8 +85,11 @@ func TestTrackedBeatsLengthMatchesFlash(t *testing.T) {
 			killFS: true,
 			check: func(t *testing.T, _ *phone.Device, s trackStats) {
 				if s.failedBeats == 0 || s.killedBeforeCompaction == 0 {
-					t.Errorf("%d heartbeats against a dead file server, %d of its kills before a compaction: want both > 0",
+					t.Errorf("%d beats due against a dead file server, %d of its kills before a compaction: want both > 0",
 						s.failedBeats, s.killedBeforeCompaction)
+				}
+				if s.deadChecks == 0 {
+					t.Error("no event ran after a file-server kill")
 				}
 			},
 		},
@@ -96,18 +106,29 @@ func TestTrackedBeatsLengthMatchesFlash(t *testing.T) {
 			// A small Log File cap makes rotation part of the run.
 			l := &Logger{dev: d, cfg: Config{MaxLogBytes: 2 << 10}.withDefaults(d)}
 			beats, logPath := l.cfg.BeatsPath, l.cfg.LogPath
+			period := l.cfg.HeartbeatPeriod
 			var dm *daemon
 			var s trackStats
-			var runs uint64 // heartbeat AO runs seen in this boot
+			var runs uint64   // beats due in this boot, as last seen
+			var boot sim.Time // this boot's instant: its beat grid's origin
+			// killedAt is when this boot's file server died (-1: alive),
+			// and deadBeats the beats file as it stood then.
+			killedAt, deadBeats := sim.Time(-1), ""
+			kill := func(k *symbos.Kernel, srv *symbos.Process) {
+				deadBeats = string(readFile(d, beats))
+				k.TerminateProcess(srv)
+				killedAt = eng.Now()
+			}
 			d.OnBoot(func(d *phone.Device) {
 				dm = l.startDaemon(d)
 				s.boots++
+				boot, killedAt = eng.Now(), -1
 				runs, s.lastBeats = 0, d.FS().Size(beats)
 				if tc.killFS && s.boots%2 == 1 {
 					k, srv := d.Kernel(), d.FileServer().Server().Process()
 					eng.After(3*time.Hour, "kill F32Srv", func() {
 						if d.Kernel() == k {
-							k.TerminateProcess(srv)
+							kill(k, srv)
 						}
 					})
 				}
@@ -133,7 +154,30 @@ func TestTrackedBeatsLengthMatchesFlash(t *testing.T) {
 					t.Fatalf("%s: tracked beats length %d, flash holds %d", eng.Now(), dm.beatsLen, want)
 				}
 				s.checks++
-				if r := dm.heartbeat.Runs(); r != runs {
+				now := eng.Now()
+				switch {
+				case killedAt >= 0:
+					// Dead file server: nothing due after the kill lands.
+					if got := string(readFile(d, beats)); got != deadBeats {
+						t.Fatalf("%s: beats file changed after the file server died at %s", now, killedAt)
+					}
+					s.deadChecks++
+				case !cfg.Flash.Enabled():
+					beat, ok := ParseBeat(readFile(d, beats))
+					// The latest grid instant strictly before now: the
+					// newest beat any observer settles.
+					due := boot
+					if now > boot {
+						due = boot.Add((now.Sub(boot) - 1) / period * period)
+					}
+					at := sim.Time(beat.Time)
+					if !ok || beat.Kind != BeatAlive || (at != due && (at != now || now.Sub(boot)%period != 0)) {
+						t.Fatalf("%s: newest beat %+v (intact %v), want the ALIVE beat at %s (boot %s, period %s)",
+							now, beat, ok, due, boot, period)
+					}
+					s.gridChecks++
+				}
+				if r := dm.beats; r != runs {
 					switch n := d.FS().Size(beats); {
 					case n == s.lastBeats:
 						s.failedBeats++
@@ -153,12 +197,15 @@ func TestTrackedBeatsLengthMatchesFlash(t *testing.T) {
 				s.lastBeats = d.FS().Size(beats)
 				if srv := d.FileServer().Server().Process(); tc.killFS && s.boots%2 == 0 &&
 					srv.Alive() && s.lastBeats+beatFrame > maxBeatsBytes {
-					d.Kernel().TerminateProcess(srv)
+					kill(d.Kernel(), srv)
 					s.killedBeforeCompaction++
 				}
 			}
 			if s.compactions == 0 || s.logAppends == 0 {
 				t.Errorf("vacuous run: %+v — want beats compactions and Log File appends", s)
+			}
+			if !cfg.Flash.Enabled() && s.gridChecks == 0 {
+				t.Errorf("vacuous run: %+v — no beat was held to its grid", s)
 			}
 			if u != nil {
 				s.reports = len(u.Reports())
@@ -178,4 +225,11 @@ type trackStats struct {
 	lastBeats                int
 	killedBeforeCompaction   int
 	reports                  int
+	gridChecks, deadChecks   int
+}
+
+// readFile returns path's bytes as the flash holds them (nil when absent).
+func readFile(d *phone.Device, path string) []byte {
+	data, _ := d.FS().Read(path)
+	return data
 }

@@ -180,8 +180,8 @@ type Config struct {
 
 	// Logger-visible plumbing -------------------------------------------
 
-	// HeartbeatPeriod is how often the logger's Heartbeat AO writes an
-	// ALIVE record (tunable; the ablation bench sweeps it).
+	// HeartbeatPeriod is how often the logger writes an ALIVE record
+	// (tunable; the ablation bench sweeps it).
 	HeartbeatPeriod time.Duration
 	// RunAppSamplePeriod is how often the Running Applications Detector
 	// samples the Application Architecture Server.

@@ -53,6 +53,14 @@ type FS struct {
 	tornWrites   uint64
 	bitFlips     uint64
 	quotaRejects uint64
+
+	// owner brings the flash up to date with writes its owner still owes
+	// (the logger's deferred heartbeats). Every operation runs it first,
+	// so nothing reads, writes, counts or tears the flash before those
+	// writes land, and they land in the order they fell due. settling
+	// keeps the owner's own writes from running it again.
+	owner    func()
+	settling bool
 }
 
 // NewFS returns an empty, perfect filesystem.
@@ -68,13 +76,30 @@ func (f *FS) EnableFaults(cfg FlashFaults, rng *sim.Rand) {
 	f.rng = rng
 }
 
+// SetOwner installs settle as the hook every operation runs first (nil
+// removes it). There is one owner at a time: the logger daemon of the
+// current boot. settle may write through the FS; those writes do not run
+// it again.
+func (f *FS) SetOwner(settle func()) { f.owner = settle }
+
+// settle runs the owner's hook unless it is already running.
+func (f *FS) settle() {
+	if f.owner == nil || f.settling {
+		return
+	}
+	f.settling = true
+	f.owner()
+	f.settling = false
+}
+
 // Write replaces the contents of path, rewriting the file's existing
 // backing array in place, so a periodic rewrite of a same-sized file
 // allocates nothing. data is copied, never retained. It reports false when
 // the flash quota would be exceeded (the write is rejected whole, like a
 // full medium).
 func (f *FS) Write(path string, data []byte) bool {
-	if !f.CanWrite(path, data) {
+	f.settle()
+	if !f.canWrite(path, data) {
 		f.quotaRejects++
 		return false
 	}
@@ -88,7 +113,8 @@ func (f *FS) Write(path string, data []byte) bool {
 // copied, never retained. It reports false when the flash quota would be
 // exceeded.
 func (f *FS) Append(path string, data []byte) bool {
-	if !f.CanAppend(path, data) {
+	f.settle()
+	if !f.canAppend(path, data) {
 		f.quotaRejects++
 		return false
 	}
@@ -101,13 +127,23 @@ func (f *FS) Append(path string, data []byte) bool {
 
 // CanWrite reports whether replacing path with data fits the quota.
 func (f *FS) CanWrite(path string, data []byte) bool {
+	f.settle()
+	return f.canWrite(path, data)
+}
+
+func (f *FS) canWrite(path string, data []byte) bool {
 	return f.faults.QuotaBytes <= 0 ||
-		f.TotalSize()-len(f.files[path])+len(data) <= f.faults.QuotaBytes
+		f.totalSize()-len(f.files[path])+len(data) <= f.faults.QuotaBytes
 }
 
 // CanAppend reports whether appending data to path fits the quota.
 func (f *FS) CanAppend(path string, data []byte) bool {
-	return f.faults.QuotaBytes <= 0 || f.TotalSize()+len(data) <= f.faults.QuotaBytes
+	f.settle()
+	return f.canAppend(path, data)
+}
+
+func (f *FS) canAppend(path string, data []byte) bool {
+	return f.faults.QuotaBytes <= 0 || f.totalSize()+len(data) <= f.faults.QuotaBytes
 }
 
 // noteWrite tracks the in-flight write and applies bit rot to the file
@@ -129,6 +165,7 @@ func (f *FS) noteWrite(path string, off, n int) {
 // it wrote. Orderly shutdowns must not call this — Symbian flushes file
 // buffers on the way down.
 func (f *FS) Crash() {
+	f.settle()
 	if f.rng == nil || f.lastN == 0 || !f.rng.Bool(f.faults.TornWriteProb) {
 		return
 	}
@@ -144,18 +181,28 @@ func (f *FS) Crash() {
 
 // TornWrites, BitFlips and QuotaRejects count injected flash faults
 // (ground truth for experiments; the logger never reads these).
-func (f *FS) TornWrites() uint64 { return f.tornWrites }
+func (f *FS) TornWrites() uint64 {
+	f.settle()
+	return f.tornWrites
+}
 
 // BitFlips counts injected bit-rot events.
-func (f *FS) BitFlips() uint64 { return f.bitFlips }
+func (f *FS) BitFlips() uint64 {
+	f.settle()
+	return f.bitFlips
+}
 
 // QuotaRejects counts writes rejected by the flash-full quota.
-func (f *FS) QuotaRejects() uint64 { return f.quotaRejects }
+func (f *FS) QuotaRejects() uint64 {
+	f.settle()
+	return f.quotaRejects
+}
 
 // Read returns the contents of path and whether it exists. The returned
 // slice is a copy the caller owns: it cannot corrupt the stored file, and
 // a later in-place Write cannot change it.
 func (f *FS) Read(path string) ([]byte, bool) {
+	f.settle()
 	data, ok := f.files[path]
 	if !ok {
 		return nil, false
@@ -164,19 +211,31 @@ func (f *FS) Read(path string) ([]byte, bool) {
 }
 
 // Delete removes path (missing paths are fine).
-func (f *FS) Delete(path string) { delete(f.files, path) }
+func (f *FS) Delete(path string) {
+	f.settle()
+	delete(f.files, path)
+}
 
 // Exists reports whether path is present.
 func (f *FS) Exists(path string) bool {
+	f.settle()
 	_, ok := f.files[path]
 	return ok
 }
 
 // Size returns the length of path in bytes (0 when missing).
-func (f *FS) Size(path string) int { return len(f.files[path]) }
+func (f *FS) Size(path string) int {
+	f.settle()
+	return len(f.files[path])
+}
 
 // TotalSize returns the number of bytes stored across all files.
 func (f *FS) TotalSize() int {
+	f.settle()
+	return f.totalSize()
+}
+
+func (f *FS) totalSize() int {
 	total := 0
 	for _, d := range f.files {
 		total += len(d)
@@ -185,10 +244,14 @@ func (f *FS) TotalSize() int {
 }
 
 // Writes returns the cumulative number of write operations (flash wear).
-func (f *FS) Writes() uint64 { return f.writes }
+func (f *FS) Writes() uint64 {
+	f.settle()
+	return f.writes
+}
 
 // List returns all paths in lexical order.
 func (f *FS) List() []string {
+	f.settle()
 	out := make([]string, 0, len(f.files))
 	for p := range f.files {
 		out = append(out, p)
@@ -201,10 +264,12 @@ func (f *FS) List() []string {
 // factory settings and the user's content is removed" recovery action the
 // forum study describes for service-centre visits.
 func (f *FS) MasterReset() {
+	f.settle()
 	f.files = make(map[string][]byte)
 }
 
 // String summarises the filesystem for diagnostics.
 func (f *FS) String() string {
-	return fmt.Sprintf("fs{files=%d bytes=%d writes=%d}", len(f.files), f.TotalSize(), f.writes)
+	f.settle()
+	return fmt.Sprintf("fs{files=%d bytes=%d writes=%d}", len(f.files), f.totalSize(), f.writes)
 }

@@ -21,7 +21,7 @@ func BenchmarkEngineScheduleAndFire(b *testing.B) {
 
 func BenchmarkEngineTimerWheelPattern(b *testing.B) {
 	// The dominant workload shape in the study: a self-re-arming periodic
-	// callback (the heartbeat).
+	// callback (the logger's detectors, the battery tick).
 	e := NewEngine()
 	ticks := 0
 	var tick func()

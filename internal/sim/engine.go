@@ -200,7 +200,8 @@ func (e *Engine) Step() bool {
 	e.fired++
 	fn := n.fn
 	// Release before running so a self-re-arming callback (the dominant
-	// workload shape: heartbeats, periodic uploads) reuses this very node.
+	// workload shape: the logger's periodic detectors, battery ticks,
+	// periodic uploads) reuses this very node.
 	e.release(n)
 	fn()
 	return true

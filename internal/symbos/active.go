@@ -180,8 +180,9 @@ type Timer struct {
 	ev          sim.Event
 	outstanding bool
 
-	// Interned per-timer event label and callback: heartbeat timers
-	// re-arm every simulated period, so After must not rebuild them.
+	// Interned per-timer event label and callback: periodic timers (the
+	// logger's detectors) re-arm every simulated period, so After must
+	// not rebuild them.
 	label  string
 	fireFn func()
 }

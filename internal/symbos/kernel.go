@@ -28,6 +28,7 @@ type Kernel struct {
 	rdebug  []func(*Panic)
 	handler PanicHandler
 	halted  bool
+	onStop  func()
 
 	// ViewSrvTimeout is how long a single RunL may monopolise an
 	// active scheduler before the View Server declares the application
@@ -64,7 +65,19 @@ func (k *Kernel) Halted() bool { return k.halted }
 // Halt freezes the kernel: every subsequent Exec becomes a no-op, which is
 // exactly what a phone freeze looks like from software (section 4: "the
 // device's output becomes constant and the device does not respond").
-func (k *Kernel) Halt() { k.halted = true }
+func (k *Kernel) Halt() {
+	if !k.halted && k.onStop != nil {
+		k.onStop()
+	}
+	k.halted = true
+}
+
+// SetStopHook installs fn to run just before Halt and TerminateProcess
+// take effect, while every process is still as it was: the last instant
+// at which work an application has deferred (the logger's owed
+// heartbeats) can still be done as if it had been done on time. One hook
+// per kernel; fn must not re-enter the kernel.
+func (k *Kernel) SetStopHook(fn func()) { k.onStop = fn }
 
 // PanicsRaised returns the number of panics dispatched since boot.
 func (k *Kernel) PanicsRaised() int { return k.panicsRaised }
@@ -124,6 +137,9 @@ func (k *Kernel) Processes() []*Process {
 func (k *Kernel) TerminateProcess(p *Process) {
 	if p == nil || !p.alive {
 		return
+	}
+	if k.onStop != nil {
+		k.onStop()
 	}
 	p.alive = false
 	for _, t := range p.threads {

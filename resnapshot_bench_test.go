@@ -98,13 +98,7 @@ func BenchmarkResnapshotOverhead(b *testing.B) {
 		}
 		// B/op and allocs/op for the JSON trajectory, measured outside the
 		// timed loop (the harness prints its own via ReportAllocs).
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		_ = m.snap()
-		runtime.ReadMemStats(&after)
-		cell.BytesPerOp = float64(after.TotalAlloc - before.TotalAlloc)
-		cell.AllocsPerOp = float64(after.Mallocs - before.Mallocs)
+		cell.BytesPerOp, cell.AllocsPerOp = allocsOfOneCall(func() { _ = m.snap() })
 		report.Cells = append(report.Cells, cell)
 	}
 	if len(report.Cells) == 0 {

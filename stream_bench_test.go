@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -123,13 +124,7 @@ func BenchmarkStudyStreamVsBatch(b *testing.B) {
 			}
 			// B/op and allocs/op for the JSON trajectory, measured outside
 			// the timed loop (the harness prints its own via ReportAllocs).
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			_ = p.run()
-			runtime.ReadMemStats(&after)
-			cell.BytesPerOp = float64(after.TotalAlloc - before.TotalAlloc)
-			cell.AllocsPerOp = float64(after.Mallocs - before.Mallocs)
+			cell.BytesPerOp, cell.AllocsPerOp = allocsOfOneCall(func() { _ = p.run() })
 			report.Cells = append(report.Cells, cell)
 		}
 	}
@@ -149,4 +144,25 @@ func BenchmarkStudyStreamVsBatch(b *testing.B) {
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// allocsOfOneCall returns the bytes and allocations of one call of fn.
+// The count depends on which P last returned fmt's printer (and any other
+// sync.Pool item) fn uses: a garbage collection empties the pools into
+// their per-P victim caches, and a Get sees only its own P's cache, so at
+// GOMAXPROCS > 1 the measured call allocated a fresh printer or not as the
+// scheduler chose. Pinning GOMAXPROCS to 1 for the window, as
+// testing.AllocsPerRun does, and warming fn under the pin leaves the
+// pooled items on the one P the measured call runs on; with the collector
+// paused inside the window, no collection empties them mid-call.
+func allocsOfOneCall(fn func()) (bytes, allocs float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
 }
